@@ -253,7 +253,7 @@ LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* binding
     const std::size_t index = state_bit ? fi - n_out : fi;
     std::string name =
         state_bit ? "Y" + std::to_string(index) : res.machine.output_names[index];
-    obs::TraceSpan span(opts.trace, "fn:" + name, "logic");
+    obs::Span span(opts.trace, "fn:" + name, "logic");
     FunctionSpec spec =
         build_function_spec(res.machine, res.encoding, state_bit, index, std::move(name));
     CoverResult cover = minimize_hazard_free(spec, opts.cover);

@@ -15,7 +15,7 @@
 #include "logic/encoding.hpp"
 #include "logic/flow_table.hpp"
 #include "logic/hazard_free.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/trace.hpp"
 #include "xbm/xbm.hpp"
 
 namespace adc {

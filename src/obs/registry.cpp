@@ -30,6 +30,20 @@ std::uint64_t histogram_bucket_upper_micros(std::size_t index) {
   return std::uint64_t{1} << (index + 1);
 }
 
+std::uint64_t histogram_quantile(const std::uint64_t (&buckets)[SlidingHistogram::kBuckets],
+                                 std::uint64_t count, std::uint64_t max_micros, double q) {
+  if (count == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < SlidingHistogram::kBuckets; ++i) {
+    seen += buckets[i];
+    if (seen >= rank) return std::min(histogram_bucket_upper_micros(i), max_micros);
+  }
+  return max_micros;
+}
+
 std::uint64_t SlidingHistogram::slice_epoch_now() const {
   const auto now = std::chrono::steady_clock::now().time_since_epoch();
   const auto s = static_cast<std::uint64_t>(
@@ -83,21 +97,9 @@ SlidingHistogram::Snapshot SlidingHistogram::snapshot() const {
     out.window_count += s.count;
     for (std::size_t i = 0; i < kBuckets; ++i) win[i] += s.buckets[i];
   }
-  auto quantile = [&](double q) -> std::uint64_t {
-    if (out.window_count == 0) return 0;
-    const auto rank = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(out.window_count)));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      seen += win[i];
-      if (seen >= rank && win[i] > 0)
-        return std::min(histogram_bucket_upper_micros(i), max_);
-    }
-    return max_;
-  };
-  out.window_p50_micros = quantile(0.50);
-  out.window_p95_micros = quantile(0.95);
-  out.window_p99_micros = quantile(0.99);
+  out.window_p50_micros = histogram_quantile(win, out.window_count, max_, 0.50);
+  out.window_p95_micros = histogram_quantile(win, out.window_count, max_, 0.95);
+  out.window_p99_micros = histogram_quantile(win, out.window_count, max_, 0.99);
   return out;
 }
 
@@ -113,44 +115,43 @@ std::string Registry::series_key(const std::string& name,
   return key;
 }
 
-Counter& Registry::counter(const std::string& name, const Labels& labels,
-                           const std::string& help) {
-  std::lock_guard<std::mutex> lk(mu_);
+template <typename T>
+T& Registry::instrument_locked(std::map<std::string, std::unique_ptr<T>>& slots,
+                               const std::string& name, const Labels& labels,
+                               const std::string& help) {
   const std::string key = series_key(name, labels);
-  auto it = counters_.find(key);
-  if (it == counters_.end()) {
-    it = counters_.emplace(key, std::make_unique<Counter>()).first;
+  auto it = slots.find(key);
+  if (it == slots.end()) {
+    it = slots.emplace(key, std::make_unique<T>()).first;
     series_[key] = Series{name, labels};
     if (!help.empty()) help_.emplace(name, help);
   }
   return *it->second;
 }
 
+Counter& Registry::counter(const std::string& name, const Labels& labels,
+                           const std::string& help) {
+  std::lock_guard<std::mutex> lk(mu_);
+  return instrument_locked(counters_, name, labels, help);
+}
+
 Gauge& Registry::gauge(const std::string& name, const Labels& labels,
                        const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::string key = series_key(name, labels);
-  auto it = gauges_.find(key);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(key, std::make_unique<Gauge>()).first;
-    series_[key] = Series{name, labels};
-    if (!help.empty()) help_.emplace(name, help);
-  }
-  return *it->second;
+  return instrument_locked(gauges_, name, labels, help);
 }
 
 SlidingHistogram& Registry::histogram(const std::string& name,
                                       const Labels& labels,
                                       const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::string key = series_key(name, labels);
-  auto it = histograms_.find(key);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(key, std::make_unique<SlidingHistogram>()).first;
-    series_[key] = Series{name, labels};
-    if (!help.empty()) help_.emplace(name, help);
-  }
-  return *it->second;
+  return instrument_locked(histograms_, name, labels, help);
+}
+
+void Registry::set_gauges(
+    const std::vector<std::pair<std::string, std::int64_t>>& values) {
+  std::lock_guard<std::mutex> lk(mu_);
+  for (const auto& [name, v] : values) instrument_locked(gauges_, name, {}, "").set(v);
 }
 
 Registry::Snapshot Registry::snapshot() const {
@@ -167,6 +168,7 @@ Registry::Snapshot Registry::snapshot() const {
     GaugeSample s;
     static_cast<Series&>(s) = series_.at(key);
     s.value = g->value_scaled();
+    s.scaled = g->scaled();
     out.gauges.push_back(std::move(s));
   }
   for (const auto& [key, h] : histograms_) {
@@ -241,6 +243,41 @@ void Registry::write_json(JsonWriter& w) const {
     w.end_object();
   }
   w.end_array();
+  w.end_object();
+}
+
+void Registry::write_summary_json(JsonWriter& w) const {
+  const Snapshot snap = snapshot();
+  w.begin_object();
+  w.key("counters");
+  w.begin_object();
+  for (const auto& c : snap.counters) w.kv(c.name, c.value);
+  w.end_object();
+  w.key("gauges");
+  w.begin_object();
+  for (const auto& g : snap.gauges) {
+    if (g.scaled) w.kv(g.name, g.value);
+    else w.kv(g.name, static_cast<std::int64_t>(g.value));
+  }
+  w.end_object();
+  w.key("histograms");
+  w.begin_object();
+  for (const auto& h : snap.histograms) {
+    const SlidingHistogram::Snapshot& s = h.hist;
+    w.key(h.name);
+    w.begin_object();
+    w.kv("count", s.count);
+    w.kv("sum_us", s.sum_micros);
+    w.kv("mean_us", s.count ? static_cast<double>(s.sum_micros) /
+                                  static_cast<double>(s.count)
+                            : 0.0);
+    w.kv("p50_us", histogram_quantile(s.buckets, s.count, s.max_micros, 0.50));
+    w.kv("p90_us", histogram_quantile(s.buckets, s.count, s.max_micros, 0.90));
+    w.kv("p99_us", histogram_quantile(s.buckets, s.count, s.max_micros, 0.99));
+    w.kv("max_us", s.max_micros);
+    w.end_object();
+  }
+  w.end_object();
   w.end_object();
 }
 

@@ -1,23 +1,28 @@
 #pragma once
-// Serving-side metrics registry.
-//
-// The runtime already has MetricsRegistry (runtime/metrics.hpp) for batch
-// runs: unlabeled names, lifetime-cumulative histograms, one JSON dump at
-// exit.  A long-lived daemon needs two things that registry deliberately
-// does not have:
+// The metrics registry: counters, gauges and power-of-two histograms,
+// optionally labeled.  It is the only registry in the tree — the flow
+// executor owns one (unlabeled series: stage latencies, cache and memo
+// gauges, flow outcome counters) and the serving daemon keeps its own
+// (labeled families per priority class).
 //
 //   * labels — "queue wait" is one *family* with one time series per
 //     priority class, not three unrelated names, so a Prometheus scraper
-//     can aggregate and a dashboard can facet;
-//   * windowed quantiles — "p95 over the last minute", not "p95 since
-//     the process started three weeks ago".
+//     can aggregate and a dashboard can facet.  Unlabeled series simply
+//     have empty labels;
+//   * windowed quantiles — SlidingHistogram keeps the *lifetime*
+//     cumulative buckets Prometheus needs (monotone `_bucket` series) plus
+//     a small ring of time slices for live p50/p95/p99 "over the last
+//     minute", not "since the process started three weeks ago".
 //
-// obs::Registry provides both.  Counters and gauges are single atomics
-// (lock-free after the first lookup); SlidingHistogram keeps the
-// *lifetime* cumulative buckets Prometheus needs (monotone `_bucket`
-// series) plus a small ring of time slices for live windowed p50/p95/p99.
-// `snapshot()` copies everything under one mutex, so a scrape never sees
-// torn totals — the same guarantee the `stats` op gets from satellite 1.
+// Counters and gauges are single atomics (lock-free after the first
+// lookup).  `snapshot()` copies everything under one mutex, and
+// `set_gauges()` commits a batch under that same mutex, so a reader never
+// sees torn totals.  Two renderings sit on top of one snapshot:
+// `write_json()` (labeled series arrays, the serve `metrics` op) and
+// `write_summary_json()` (name-keyed maps with lifetime quantiles, the
+// `metrics` object of adc_dse --json / --metrics and the serve `stats`
+// op).  One quantile function, histogram_quantile(), serves the summary
+// and the windowed quantiles Prometheus exports.
 //
 // Instruments are never unregistered; returned references live as long as
 // the registry, so hot paths capture them once and increment forever.
@@ -117,6 +122,13 @@ class SlidingHistogram {
 std::size_t histogram_bucket_index(std::uint64_t micros);
 std::uint64_t histogram_bucket_upper_micros(std::size_t index);
 
+// Quantile q (clamped to [0,1]) of a power-of-two histogram with `count`
+// samples in `buckets`: the upper bound of the bucket holding the
+// ceil(q * count)-th sample, capped by the recorded maximum so a lone
+// 100 µs sample never reports as 128 µs.  0 when empty.
+std::uint64_t histogram_quantile(const std::uint64_t (&buckets)[SlidingHistogram::kBuckets],
+                                 std::uint64_t count, std::uint64_t max_micros, double q);
+
 class Registry {
  public:
   // Instrument lookup-or-create.  `help` is kept from the *first*
@@ -138,6 +150,7 @@ class Registry {
   };
   struct GaugeSample : Series {
     double value = 0;
+    bool scaled = false;  // fixed-point gauge (Gauge::set(double))
   };
   struct HistogramSample : Series {
     SlidingHistogram::Snapshot hist;
@@ -148,6 +161,12 @@ class Registry {
     std::vector<HistogramSample> histograms;
     std::map<std::string, std::string> help;  // family name -> help text
   };
+  // Sets a related batch of unlabeled gauges under the registry mutex —
+  // the one snapshot() holds — so a reader sees all of the batch or none
+  // of it (never disk.hits from one sample next to disk.misses from the
+  // previous one).
+  void set_gauges(const std::vector<std::pair<std::string, std::int64_t>>& values);
+
   // One mutex, one instant: no torn cross-metric invariants.
   Snapshot snapshot() const;
 
@@ -155,12 +174,22 @@ class Registry {
   // `metrics` protocol op's payload.
   void write_json(JsonWriter& w) const;
 
+  // {"counters": {name: n}, "gauges": {name: v}, "histograms": {name:
+  // {count, sum_us, mean_us, p50_us, p90_us, p99_us, max_us}}} over the
+  // lifetime buckets.  Series are keyed by name alone, so this rendering
+  // is for unlabeled registries (the flow executor's).
+  void write_summary_json(JsonWriter& w) const;
+
   // Every distinct family name currently registered (the catalogue the
   // CI smoke diff pins down).
   std::vector<std::string> family_names() const;
 
  private:
   static std::string series_key(const std::string& name, const Labels& labels);
+  template <typename T>
+  T& instrument_locked(std::map<std::string, std::unique_ptr<T>>& slots,
+                       const std::string& name, const Labels& labels,
+                       const std::string& help);
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;

@@ -234,9 +234,11 @@ struct PairShared {
 
 }  // namespace
 
-std::pair<BenchRecord, BenchRecord> measure_interleaved(
-    const Benchmark& a, const Benchmark& b, const MeasureOptions& opts) {
-  BenchRecord ra, rb;
+InterleavedResult measure_interleaved(const Benchmark& a, const Benchmark& b,
+                                      const MeasureOptions& opts) {
+  InterleavedResult out;
+  BenchRecord& ra = out.a;
+  BenchRecord& rb = out.b;
   ra.suite = a.suite;
   ra.name = a.name;
   rb.suite = b.suite;
@@ -249,6 +251,16 @@ std::pair<BenchRecord, BenchRecord> measure_interleaved(
   Benchmark job_a = a, job_b = b;
   std::thread worker([sh, job_a, job_b, opts, repeats] {
     try {
+      auto time_one = [](const Benchmark& job, BenchContext& ctx,
+                         std::vector<double>& wall, std::vector<double>& cpu) {
+        ctx.counters.clear();
+        ctx.stages.clear();
+        const std::uint64_t c0 = process_cpu_micros();
+        const std::uint64_t w0 = wall_now_micros();
+        job.run(ctx);
+        wall.push_back(static_cast<double>(wall_now_micros() - w0));
+        cpu.push_back(static_cast<double>(process_cpu_micros() - c0));
+      };
       for (unsigned i = 0; i < opts.warmup; ++i) {
         job_a.run(sh->ctx_a);
         job_b.run(sh->ctx_b);
@@ -257,21 +269,16 @@ std::pair<BenchRecord, BenchRecord> measure_interleaved(
       sh->cpu_a.reserve(repeats);
       sh->wall_b.reserve(repeats);
       sh->cpu_b.reserve(repeats);
+      // ABBA: rounds alternate which side goes first, so a warm-cache or
+      // frequency advantage of the second slot lands on both sides.
       for (unsigned i = 0; i < repeats; ++i) {
-        sh->ctx_a.counters.clear();
-        sh->ctx_a.stages.clear();
-        std::uint64_t c0 = process_cpu_micros();
-        std::uint64_t w0 = wall_now_micros();
-        job_a.run(sh->ctx_a);
-        sh->wall_a.push_back(static_cast<double>(wall_now_micros() - w0));
-        sh->cpu_a.push_back(static_cast<double>(process_cpu_micros() - c0));
-        sh->ctx_b.counters.clear();
-        sh->ctx_b.stages.clear();
-        c0 = process_cpu_micros();
-        w0 = wall_now_micros();
-        job_b.run(sh->ctx_b);
-        sh->wall_b.push_back(static_cast<double>(wall_now_micros() - w0));
-        sh->cpu_b.push_back(static_cast<double>(process_cpu_micros() - c0));
+        if (i % 2 == 0) {
+          time_one(job_a, sh->ctx_a, sh->wall_a, sh->cpu_a);
+          time_one(job_b, sh->ctx_b, sh->wall_b, sh->cpu_b);
+        } else {
+          time_one(job_b, sh->ctx_b, sh->wall_b, sh->cpu_b);
+          time_one(job_a, sh->ctx_a, sh->wall_a, sh->cpu_a);
+        }
       }
     } catch (const std::exception& e) {
       sh->failed = true;
@@ -304,7 +311,7 @@ std::pair<BenchRecord, BenchRecord> measure_interleaved(
           "deadline exceeded after " + std::to_string(opts.deadline_ms) + " ms";
       r->peak_rss_kb = peak_rss_kb();
     }
-    return {std::move(ra), std::move(rb)};
+    return out;
   }
   worker.join();
   if (sh->failed) {
@@ -314,8 +321,10 @@ std::pair<BenchRecord, BenchRecord> measure_interleaved(
       r->error = sh->error;
       r->peak_rss_kb = peak_rss_kb();
     }
-    return {std::move(ra), std::move(rb)};
+    return out;
   }
+  for (std::size_t i = 0; i < sh->wall_a.size(); ++i)
+    out.ratios.push_back(sh->wall_b[i] > 0.0 ? sh->wall_a[i] / sh->wall_b[i] : 0.0);
   ra.repeats = repeats;
   ra.wall_us = stat_from_samples(std::move(sh->wall_a), opts.trim_outliers);
   ra.cpu_us = stat_from_samples(std::move(sh->cpu_a), opts.trim_outliers);
@@ -328,7 +337,7 @@ std::pair<BenchRecord, BenchRecord> measure_interleaved(
   rb.peak_rss_kb = peak_rss_kb();
   rb.counters = std::move(sh->ctx_b.counters);
   rb.stages = std::move(sh->ctx_b.stages);
-  return {std::move(ra), std::move(rb)};
+  return out;
 }
 
 BenchReport run_registered(const std::vector<std::string>& suites,

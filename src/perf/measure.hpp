@@ -97,16 +97,21 @@ struct MeasureOptions {
 // Warmup + timed repeats of one benchmark.
 BenchRecord measure(const Benchmark& b, const MeasureOptions& opts);
 
-// Paired measurement for cross-benchmark ratio gates: alternates one timed
-// iteration of `a` and one of `b` per round (after alternating warmups)
-// instead of running each benchmark's repeats back to back.  Slow in-process
-// drift — allocator growth, CPU frequency, cache state — then lands on both
-// sides of the ratio equally rather than on whichever benchmark happens to
-// run later, which is worth several percent of systematic skew on a busy
-// 1-core container.  opts.deadline_ms bounds the whole pair; a timeout or
-// exception marks both records.
-std::pair<BenchRecord, BenchRecord> measure_interleaved(
-    const Benchmark& a, const Benchmark& b, const MeasureOptions& opts);
+// Paired measurement for cross-benchmark ratio gates: one timed iteration
+// of `a` and one of `b` per round (after alternating warmups), in ABBA
+// order — even rounds run a first, odd rounds b first — instead of running
+// each benchmark's repeats back to back.  Slow in-process drift — allocator
+// growth, CPU frequency, cache state — and any advantage of the second slot
+// in a round then land on both sides of the ratio equally, which is worth
+// several percent of systematic skew on a busy host.  opts.deadline_ms
+// bounds the whole pair; a timeout or exception marks both records.
+struct InterleavedResult {
+  BenchRecord a, b;
+  // wall(a) / wall(b) of each timed round; empty when the pair failed.
+  std::vector<double> ratios;
+};
+InterleavedResult measure_interleaved(const Benchmark& a, const Benchmark& b,
+                                      const MeasureOptions& opts);
 
 // Measures every registered benchmark whose suite is in `suites` (empty =
 // all) and whose name contains `filter` (empty = all), in registration

@@ -12,7 +12,6 @@
 #include "runtime/fault.hpp"
 #include "runtime/watchdog.hpp"
 #include "trace/log.hpp"
-#include "trace/tracer.hpp"
 
 namespace adc {
 
@@ -98,44 +97,32 @@ FlowExecutor::FlowExecutor(ThreadPool* pool, Options opts)
 
 std::shared_ptr<const Cdfg> FlowExecutor::frontend_stage(const FlowRequest& req,
                                                          Fingerprint& key, FlowPoint& p,
-                                                         const obs::TraceContext& otrace) {
+                                                         const obs::TraceContext& parent) {
   FingerprintBuilder fb;
   fb.add("frontend").add(req.benchmark).add(req.source);
   key = fb.digest();
   bool computed = false;
-  std::uint64_t us = 0, cpu = 0;
-  std::shared_ptr<const Cdfg> parsed;
-  {
-    ScopedSpan span(opts_.tracer, "frontend");
-    obs::TraceSpan ospan(otrace, "frontend");
-    StageTimer t(&metrics_.histogram("stage.frontend"), &us, &cpu);
-    parsed = cache_.get_or_compute<Cdfg>(key, [&]() -> Cdfg {
-      computed = true;
-      if (!req.source.empty()) return parse_program(req.source);
-      if (req.make) return req.make();
-      throw std::invalid_argument("flow: request '" + req.benchmark +
-                                  "' has neither source text nor a graph factory");
-    });
-    span.arg("cache", computed ? "miss" : "hit");
-    ospan.arg("cache", computed ? "miss" : "hit");
-  }
-  p.timings.push_back({"frontend", us, cpu, !computed});
+  StageScope stage(metrics_, parent, "frontend", &p.timings);
+  auto parsed = cache_.get_or_compute<Cdfg>(key, [&]() -> Cdfg {
+    computed = true;
+    if (!req.source.empty()) return parse_program(req.source);
+    if (req.make) return req.make();
+    throw std::invalid_argument("flow: request '" + req.benchmark +
+                                "' has neither source text nor a graph factory");
+  });
+  stage.cached(!computed);
   return parsed;
 }
 
 std::shared_ptr<const FlowExecutor::GlobalSnapshot> FlowExecutor::global_stage(
     const FlowRequest& req, const TransformScript& script,
     std::shared_ptr<const Cdfg> parsed, Fingerprint key, FlowPoint& p,
-    const obs::TraceContext& otrace) {
+    const obs::TraceContext& parent) {
   Fingerprint delays_fp = fingerprint_delays(req.delays);
-  std::uint64_t us = 0, cpu = 0;
   std::size_t steps_run = 0, steps_total = 0;
   std::shared_ptr<const GlobalSnapshot> snap;
   {
-    ScopedSpan gspan(opts_.tracer, "global");
-    obs::TraceSpan ogspan(otrace, "global");
-    const obs::TraceContext octx = ogspan.context();
-    StageTimer t(&metrics_.histogram("stage.global"), &us, &cpu);
+    StageScope stage(metrics_, parent, "global", &p.timings);
     for (std::size_t i = 0; i < script.step_count(); ++i) {
       std::string step = script.step_string(i);
       if (is_lt_step(step)) continue;  // no global action; keyed downstream
@@ -144,8 +131,7 @@ std::shared_ptr<const FlowExecutor::GlobalSnapshot> FlowExecutor::global_stage(
       fb.add(key).add(step).add(delays_fp);
       key = fb.digest();
       auto prev = snap;  // null for the first step
-      ScopedSpan span(opts_.tracer, step);
-      obs::TraceSpan ospan(octx, step, "gt");
+      obs::Span span(stage.context(), step, "gt");
       bool step_computed = false;
       snap = cache_.get_or_compute<GlobalSnapshot>(key, [&]() -> GlobalSnapshot {
         ++steps_run;
@@ -169,37 +155,30 @@ std::shared_ptr<const FlowExecutor::GlobalSnapshot> FlowExecutor::global_stage(
         return next;
       });
       span.arg("cache", step_computed ? "miss" : "hit");
-      ospan.arg("cache", step_computed ? "miss" : "hit");
     }
     if (!snap) {  // empty / lt-only script: the parsed graph is the result
       GlobalSnapshot base;
       base.g = *parsed;
       snap = std::make_shared<const GlobalSnapshot>(std::move(base));
     }
-    gspan.arg("cache", steps_run == 0 ? "hit" : "miss");
-    ogspan.arg("cache", steps_run == 0 ? "hit" : "miss");
+    stage.cached(steps_total > 0 && steps_run == 0);
   }
   metrics_.counter("flow.gt_steps").add(steps_total);
   metrics_.counter("flow.gt_steps_cached").add(steps_total - steps_run);
-  p.timings.push_back({"global", us, cpu, steps_total > 0 && steps_run == 0});
   return snap;
 }
 
 std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
     const TransformScript& script, std::shared_ptr<const GlobalSnapshot> snap,
     const Fingerprint& key, FlowPoint& p, const CancelToken& cancel,
-    const obs::TraceContext& otrace) {
+    const obs::TraceContext& parent) {
   FingerprintBuilder fb;
   fb.add(key).add("extract+lt").add(script.to_string());
   Fingerprint ckey = fb.digest();
   bool computed = false;
-  std::uint64_t us = 0, cpu = 0;
   std::shared_ptr<const ControllerSet> set;
   {
-    ScopedSpan span(opts_.tracer, "controllers");
-    obs::TraceSpan ocspan(otrace, "controllers");
-    const obs::TraceContext octx = ocspan.context();
-    StageTimer t(&metrics_.histogram("stage.controllers"), &us, &cpu);
+    StageScope stage(metrics_, parent, "controllers", &p.timings);
     set = cache_.get_or_compute<ControllerSet>(ckey, [&]() -> ControllerSet {
       computed = true;
       ControllerSet out;
@@ -211,12 +190,9 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
       auto synthesize_one = [&](std::size_t i) {
         cancel.throw_if_cancelled();
         ExtractedController c = std::move(extracted[i]);
-        ScopedSpan cspan(opts_.tracer, "controller:" + c.machine.name(),
-                         "controller");
         // Subtasks may land on any pool thread; the explicit parent keeps
         // them under this stage in the per-job tree regardless.
-        obs::TraceSpan ocspan2(octx, "controller:" + c.machine.name(),
-                               "controller");
+        obs::Span span(stage.context(), "controller:" + c.machine.name(), "controller");
         ControllerInstance inst;
         ControllerMetrics m;
         m.name = c.machine.name();
@@ -239,7 +215,7 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
         // both groups only join their own subtasks, so the nesting cannot
         // deadlock or bill foreign work to this stage's deadline.
         if (opts_.fan_out_controllers) sopts.pool = pool_;
-        sopts.trace = ocspan2.context();
+        sopts.trace = span.context();
         auto logic = synthesize_logic(c, sopts);
         m.products = logic.product_count(true);
         m.literals = logic.literal_count(true);
@@ -274,20 +250,18 @@ std::shared_ptr<const ControllerSet> FlowExecutor::controller_stage(
       }
       return out;
     });
-    span.arg("cache", computed ? "miss" : "hit");
-    ocspan.arg("cache", computed ? "miss" : "hit");
+    stage.cached(!computed);
   }
-  p.timings.push_back({"controllers", us, cpu, !computed});
   return set;
 }
 
 void FlowExecutor::sample_gauges() {
   CacheStats cs = cache_.stats();
   std::int64_t pending = pool_ ? static_cast<std::int64_t>(pool_->pending()) : 0;
-  // Collect first, publish once: update_gauges() commits the whole batch
-  // under the registry mutex, so a concurrent gauges() snapshot (the
-  // serve `stats`/`metrics` ops) sees one instant — never disk.hits from
-  // this sample next to disk.misses from the previous one.
+  // Collect first, publish once: set_gauges() commits the whole batch
+  // under the registry mutex, so a concurrent snapshot (the serve `stats`
+  // op) sees one instant — never disk.hits from this sample next to
+  // disk.misses from the previous one.
   std::vector<std::pair<std::string, std::int64_t>> batch;
   batch.reserve(16);
   batch.emplace_back("cache.entries", static_cast<std::int64_t>(cs.entries));
@@ -318,7 +292,7 @@ void FlowExecutor::sample_gauges() {
     batch.emplace_back("disk.corrupt", static_cast<std::int64_t>(ds.corrupt));
     batch.emplace_back("disk.bytes", static_cast<std::int64_t>(disk_->total_bytes()));
   }
-  metrics_.update_gauges(batch);
+  metrics_.set_gauges(batch);
   if (opts_.tracer) {
     // The gauge batch doubles as the counter-track sample; disk.* tracks
     // only appear once a persistent tier is attached, matching the gauges.
@@ -374,12 +348,21 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
   p.benchmark = req.benchmark;
   p.script = req.script;  // replaced by the normalized form once parsed
   metrics_.counter("flow.runs").add();
-  StageTimer total(&metrics_.histogram("flow.total"), &p.total_micros);
-  ScopedSpan span(opts_.tracer, "flow.run", "flow",
-                  {{"benchmark", req.benchmark}, {"script", req.script}});
-  obs::TraceSpan ospan(req.trace, "flow.run", "flow");
-  ospan.arg("benchmark", req.benchmark);
-  const obs::TraceContext octx = ospan.context();
+  const auto started = std::chrono::steady_clock::now();
+  // The run's root span lands in the request's job trace (if any) and in
+  // the executor's process timeline (if any); every stage hangs under it.
+  obs::Span span(req.trace.with_sink(opts_.tracer), "flow.run", "flow",
+                 {{"benchmark", req.benchmark}, {"script", req.script}});
+  const obs::TraceContext& ctx = span.context();
+  // flow.total covers the whole run, disk replays included.
+  auto record_total = [&] {
+    const auto us = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - started)
+            .count());
+    metrics_.histogram("flow.total").record_micros(us);
+    return us;
+  };
   ADC_LOG_INFO("flow", "run start",
                {{"benchmark", req.benchmark}, {"script", req.script}});
 
@@ -410,29 +393,28 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
     disk_ok = disk_ && disk_->enabled() && disk_eligible(req);
     if (disk_ok) {
       point_key = fingerprint_point(req, p.script);
-      std::uint64_t us = 0, cpu = 0;
+      std::vector<StageTiming> probe;  // reported only on a replay
       std::optional<std::string> hit;
       {
-        obs::TraceSpan odspan(octx, "disk.probe", "disk");
-        StageTimer t(&metrics_.histogram("stage.disk"), &us, &cpu);
+        StageScope stage(metrics_, ctx, "disk", &probe, "disk.probe", "disk");
         hit = disk_->get(point_key.hex());
-        odspan.arg("hit", hit.has_value());
+        stage.cached(hit.has_value());
       }
       if (hit) {
         try {
-          obs::TraceSpan orspan(octx, "disk.replay", "disk");
+          obs::Span replay(ctx, "disk.replay", "disk");
           FlowPoint warm = parse_flow_point(*hit);
           if (warm.benchmark == p.benchmark && warm.script == p.script) {
             warm.from_disk_cache = true;
-            warm.timings.push_back({"disk", us, cpu, true});
-            warm.total_micros = us;  // what the replay actually cost
+            warm.timings.push_back(probe.front());
+            warm.total_micros = probe.front().micros;  // what the replay cost
             metrics_.counter("flow.disk_hits").add();
             span.arg("disk", "hit");
-            ospan.arg("disk", "hit");
-            ospan.arg("status", to_string(warm.status));
+            span.arg("status", to_string(warm.status));
             ADC_LOG_INFO("flow", "run served from disk cache",
                          {{"benchmark", p.benchmark}, {"script", p.script}});
             sample_gauges();
+            record_total();
             return warm;
           }
         } catch (const std::exception&) {
@@ -446,17 +428,17 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
     std::shared_ptr<const Cdfg> parsed;
     {
       auto stage_guard = checkpoint("frontend");
-      parsed = frontend_stage(req, key, p, octx);
+      parsed = frontend_stage(req, key, p, ctx);
     }
     std::shared_ptr<const GlobalSnapshot> snap;
     {
       auto stage_guard = checkpoint("global");
-      snap = global_stage(req, script, parsed, key, p, octx);
+      snap = global_stage(req, script, parsed, key, p, ctx);
     }
     std::shared_ptr<const ControllerSet> set;
     {
       auto stage_guard = checkpoint("controllers");
-      set = controller_stage(script, snap, key, p, req.cancel, octx);
+      set = controller_stage(script, snap, key, p, req.cancel, ctx);
     }
     p.graph = std::shared_ptr<const Cdfg>(snap, &snap->g);
 
@@ -474,47 +456,40 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
     if (req.provenance) p.provenance = build_provenance(p, *parsed, *snap, *set);
 
     if (req.simulate) {
-      std::uint64_t us = 0, cpu = 0;
-      {
-        auto stage_guard = checkpoint("sim");
-        ScopedSpan sspan(opts_.tracer, "sim");
-        obs::TraceSpan osspan(octx, "sim");
-        StageTimer t(&metrics_.histogram("stage.sim"), &us, &cpu);
-        EventSimOptions sim_opts = req.sim;
-        sim_opts.cancel = &req.cancel;
-        SimEventLog event_log;
-        if (req.critical_path && !sim_opts.event_log)
-          sim_opts.event_log = &event_log;
-        auto r = run_event_sim(snap->g, set->plan, set->instances, req.init, sim_opts);
-        if (r.cancelled) throw CancelledError(r.error);
-        if (req.critical_path && sim_opts.event_log)
-          p.critical_path = std::make_shared<const CriticalPathResult>(
-              analyze_critical_path(*sim_opts.event_log, r.final_event,
-                                    r.finish_time));
-        p.latency = r.finish_time;
-        p.sim_events = r.events;
-        p.sim_operations = r.operations;
-        p.sim_registers = std::move(r.registers);
-        p.deadlocked = r.deadlocked;
-        if (!r.completed) {
-          p.ok = false;
-          p.error = r.error;
-          if (r.deadlocked) {
-            metrics_.counter("flow.deadlocks").add();
-            ADC_LOG_WARN("flow", "event simulation deadlocked",
-                         {{"benchmark", p.benchmark},
-                          {"script", p.script},
-                          {"detail", r.error}});
-            if (opts_.tracer)
-              opts_.tracer->instant("deadlock", "sim",
-                                    {{"benchmark", p.benchmark},
-                                     {"script", p.script}});
-          }
+      auto stage_guard = checkpoint("sim");
+      StageScope stage(metrics_, ctx, "sim", &p.timings);
+      EventSimOptions sim_opts = req.sim;
+      sim_opts.cancel = &req.cancel;
+      SimEventLog event_log;
+      if (req.critical_path && !sim_opts.event_log)
+        sim_opts.event_log = &event_log;
+      auto r = run_event_sim(snap->g, set->plan, set->instances, req.init, sim_opts);
+      if (r.cancelled) throw CancelledError(r.error);
+      if (req.critical_path && sim_opts.event_log)
+        p.critical_path = std::make_shared<const CriticalPathResult>(
+            analyze_critical_path(*sim_opts.event_log, r.final_event,
+                                  r.finish_time));
+      p.latency = r.finish_time;
+      p.sim_events = r.events;
+      p.sim_operations = r.operations;
+      p.sim_registers = std::move(r.registers);
+      p.deadlocked = r.deadlocked;
+      if (!r.completed) {
+        p.ok = false;
+        p.error = r.error;
+        if (r.deadlocked) {
+          metrics_.counter("flow.deadlocks").add();
+          ADC_LOG_WARN("flow", "event simulation deadlocked",
+                       {{"benchmark", p.benchmark},
+                        {"script", p.script},
+                        {"detail", r.error}});
+          if (opts_.tracer)
+            opts_.tracer->instant("deadlock", "sim",
+                                  {{"benchmark", p.benchmark},
+                                   {"script", p.script}});
         }
-        sspan.arg("ok", r.completed);
-        osspan.arg("ok", r.completed);
       }
-      p.timings.push_back({"sim", us, cpu, false});
+      stage.arg("ok", r.completed);
     }
     p.status = p.ok ? FlowStatus::kOk
                     : p.deadlocked ? FlowStatus::kDeadlock : FlowStatus::kError;
@@ -553,12 +528,7 @@ FlowPoint FlowExecutor::run(const FlowRequest& req) {
   }
   span.arg("ok", p.ok);
   span.arg("status", to_string(p.status));
-  ospan.arg("ok", p.ok);
-  ospan.arg("status", to_string(p.status));
-  // Stamp the cost before the return: the early disk-hit return above
-  // keeps this function from being NRVO'd, so the StageTimer destructor
-  // would write into a dead local, not the returned point.
-  p.total_micros = total.elapsed_micros();
+  p.total_micros = record_total();
   // Persist completed outcomes (ok and the legitimate deadlock corners —
   // both are deterministic verdicts worth replaying; transient failures
   // are not).

@@ -33,19 +33,18 @@
 
 #include "cdfg/cdfg.hpp"
 #include "logic/memo.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "runtime/cache.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/disk_cache.hpp"
-#include "runtime/metrics.hpp"
+#include "runtime/stage_scope.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/event_sim.hpp"
 #include "trace/provenance.hpp"
 #include "transforms/script.hpp"
 
 namespace adc {
-
-class Tracer;
 
 // Structured outcome of one flow run (the scheduler-grade job lifecycle:
 // a failing point is *classified*, never just "not ok").
@@ -88,9 +87,9 @@ struct FlowRequest {
   std::uint64_t deadline_ms = 0;        // whole-job wall budget
   // External cancellation; shared with the deadline watchdog.
   CancelToken cancel;
-  // Request-scoped trace (obs/trace_context.hpp).  When active, run()
-  // parents one span per executed stage — frontend, each gt step,
-  // per-controller synthesis, sim, disk probe/replay — under it, so a
+  // Request-scoped trace (obs/trace.hpp).  When active, run() parents
+  // one span per executed stage — frontend, each gt step, per-controller
+  // synthesis, per-function logic, sim, disk probe/replay — under it, so a
   // serving daemon exports one connected tree per job.  Default-empty:
   // the batch CLIs pay two null checks per stage.
   obs::TraceContext trace;
@@ -118,13 +117,6 @@ struct ControllerSet {
   // Per-controller LT pipeline log (decisions included), index-aligned with
   // `instances`; empty TransformResults when the script has no lt step.
   std::vector<TransformResult> local_results;
-};
-
-struct StageTiming {
-  std::string stage;
-  std::uint64_t micros = 0;      // wall time
-  std::uint64_t cpu_micros = 0;  // executing thread's CPU time
-  bool cached = false;           // served from the stage cache
 };
 
 // Figure-12/13 style quality metrics of one evaluated design point.
@@ -184,10 +176,11 @@ class FlowExecutor {
   struct Options {
     std::size_t cache_capacity = 1024;  // 0 disables stage caching
     bool fan_out_controllers = true;    // per-controller nested subtasks
-    // Optional span tracer (borrowed, not owned).  Every stage of every
-    // run records a span, annotated with its cache disposition; pool and
-    // cache gauges are sampled as counter tracks.  Null = tracing off.
-    Tracer* tracer = nullptr;
+    // Optional process-timeline span store (borrowed, not owned).  Every
+    // stage of every run records a span, annotated with its cache
+    // disposition; pool and cache gauges are sampled as counter tracks.
+    // Null = tracing off.
+    obs::SpanStore* tracer = nullptr;
     // Persistent disk tier: completed ok/deadlock points are stored as
     // checksummed JSON under this directory and replayed on the next run
     // (runtime/disk_cache.hpp).  Empty = disabled.
@@ -207,7 +200,7 @@ class FlowExecutor {
   // in request order.
   std::vector<FlowPoint> run_all(const std::vector<FlowRequest>& reqs);
 
-  MetricsRegistry& metrics() { return metrics_; }
+  obs::Registry& metrics() { return metrics_; }
   const StageCache& cache() const { return cache_; }
   // Null unless Options::disk_cache_dir was set.
   DiskCache* disk_cache() { return disk_.get(); }
@@ -221,16 +214,16 @@ class FlowExecutor {
 
   std::shared_ptr<const Cdfg> frontend_stage(const FlowRequest& req, Fingerprint& key,
                                              FlowPoint& p,
-                                             const obs::TraceContext& otrace);
+                                             const obs::TraceContext& parent);
   std::shared_ptr<const GlobalSnapshot> global_stage(const FlowRequest& req,
                                                      const TransformScript& script,
                                                      std::shared_ptr<const Cdfg> parsed,
                                                      Fingerprint key, FlowPoint& p,
-                                                     const obs::TraceContext& otrace);
+                                                     const obs::TraceContext& parent);
   std::shared_ptr<const ControllerSet> controller_stage(
       const TransformScript& script, std::shared_ptr<const GlobalSnapshot> snap,
       const Fingerprint& key, FlowPoint& p, const CancelToken& cancel,
-      const obs::TraceContext& otrace);
+      const obs::TraceContext& parent);
   std::shared_ptr<const ProvenanceReport> build_provenance(const FlowPoint& p,
                                                            const Cdfg& initial,
                                                            const GlobalSnapshot& snap,
@@ -244,7 +237,7 @@ class FlowExecutor {
   StageCache cache_;
   std::unique_ptr<DiskCache> disk_;
   std::unique_ptr<LogicMemo> logic_memo_;
-  MetricsRegistry metrics_;
+  obs::Registry metrics_;
 };
 
 // --- builtin benchmark registry for the CLIs ------------------------------

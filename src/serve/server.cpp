@@ -301,10 +301,13 @@ void ServeServer::sample_observability() {
       .set(static_cast<std::int64_t>(pool_->pending()));
   registry_.gauge("serve.pool.tasks_executed")
       .set(static_cast<std::int64_t>(pool_->tasks_executed()));
-  auto ec = exec_->metrics().counters();
-  auto exec_count = [&ec](const char* name) -> std::int64_t {
-    auto it = ec.find(name);
-    return it == ec.end() ? 0 : static_cast<std::int64_t>(it->second);
+  // Read, never create: a lookup through counter() would register the
+  // series and change the executor's `metrics` object.
+  const obs::Registry::Snapshot es = exec_->metrics().snapshot();
+  auto exec_count = [&es](const char* name) -> std::int64_t {
+    for (const auto& c : es.counters)
+      if (c.name == name) return static_cast<std::int64_t>(c.value);
+    return 0;
   };
   registry_.gauge("serve.flow.timeouts").set(exec_count("flow.timeouts"));
   registry_.gauge("serve.flow.faults").set(exec_count("flow.faults"));
@@ -557,11 +560,11 @@ std::string ServeServer::op_submit(const JsonValue& doc) {
     job->id = id;
     // Trace minted at accept: the root span covers the job's whole
     // lifetime, queue.wait its time until a worker claims it.
-    job->trace = std::make_shared<obs::JobTrace>(mix64(start_micros_ + id));
-    job->root_span = job->trace->begin("job", "serve", 0);
-    job->trace->annotate(job->root_span, "benchmark", job->req.benchmark);
-    job->trace->annotate(job->root_span, "script", job->req.script);
-    job->trace->annotate(job->root_span, "priority", to_string(prio));
+    job->trace = std::make_shared<obs::SpanStore>(mix64(start_micros_ + id));
+    job->root_span = job->trace->begin("job", "serve", 0,
+                                       {{"benchmark", job->req.benchmark},
+                                        {"script", job->req.script},
+                                        {"priority", to_string(prio)}});
     job->queue_span = job->trace->begin("queue.wait", "serve", job->root_span);
     jobs_[id] = job;
   }
@@ -826,7 +829,7 @@ std::string ServeServer::op_stats() {
   w.kv("workers", static_cast<std::uint64_t>(opts_.workers));
   w.kv("metrics_port", static_cast<std::int64_t>(metrics_http_port()));
   w.key("metrics");
-  exec_->metrics().write_json(w);
+  exec_->metrics().write_summary_json(w);
   w.end_object();
   return w.str();
 }
@@ -900,7 +903,7 @@ std::string ServeServer::op_trace(const JsonValue& doc) {
   w.kv("id", id);
   w.kv("trace_id", job->trace->trace_id_hex());
   w.key("trace");
-  job->trace->write_chrome_trace(w, id);
+  job->trace->write_job_trace(w, id);
   w.end_object();
   return w.str();
 }

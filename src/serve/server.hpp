@@ -44,7 +44,7 @@
 #include "obs/access_log.hpp"
 #include "obs/http.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/trace.hpp"
 #include "runtime/flow.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/protocol.hpp"
@@ -161,9 +161,9 @@ class ServeServer {
     FlowRequest req;
     FlowPoint result;
     std::string client;  // client-supplied name (access-log attribution)
-    // Per-request span tree (obs/trace_context.hpp): the root span covers
+    // Per-request span tree (obs/trace.hpp): the root span covers
     // submit -> terminal state, queue_span the submit -> dequeue wait.
-    std::shared_ptr<obs::JobTrace> trace;
+    std::shared_ptr<obs::SpanStore> trace;
     std::uint64_t root_span = 0;
     std::uint64_t queue_span = 0;
     std::uint64_t submit_micros = 0;   // steady-clock stamp at accept

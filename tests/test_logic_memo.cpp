@@ -49,7 +49,12 @@ class LogicMemoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fault().reset();
-    dir_ = fs::temp_directory_path() / "adc_logic_memo_test";
+    // One directory per test: ctest runs every case as its own process,
+    // so a shared path would let one case's TearDown delete another's
+    // entries mid-run.
+    dir_ = fs::path(::testing::TempDir()) /
+           ("adc_logic_memo_" +
+            std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()));
     fs::remove_all(dir_);
   }
   void TearDown() override {

@@ -21,7 +21,7 @@
 #include "obs/http.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/registry.hpp"
-#include "obs/trace_context.hpp"
+#include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "report/json_parse.hpp"
 
@@ -443,22 +443,21 @@ TEST(ObsAccessLog, ValidateCatchesGarbage) {
 // --- job traces -------------------------------------------------------------
 
 TEST(ObsJobTrace, SpanTreeAndHexId) {
-  JobTrace trace(0x0123456789abcdefull);
+  SpanStore trace(0x0123456789abcdefull);
   EXPECT_EQ(trace.trace_id_hex(), "0123456789abcdef");
 
   std::uint64_t root = trace.begin("job", "serve", 0);
   std::uint64_t child = trace.begin("queue.wait", "serve", root);
-  trace.annotate(root, "benchmark", "diffeq");
   trace.end(child);
   trace.end(root, {{"status", "ok"}});
 
-  std::vector<TraceSpanRecord> spans = trace.spans();
+  std::vector<SpanRecord> spans = trace.spans();
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].parent, 0u);
   EXPECT_EQ(spans[1].parent, root);
-  EXPECT_GT(spans[0].end_us, 0u);
-  // Ends are clamped past starts so zero-width spans stay visible.
-  EXPECT_GT(spans[0].end_us, spans[0].start_us);
+  EXPECT_TRUE(spans[0].closed());
+  EXPECT_GE(spans[0].end_us, spans[0].start_us);
+  EXPECT_EQ(spans[0].args.back().first, "status");
 
   // Closing twice or closing an unknown id is harmless.
   trace.end(root);
@@ -466,7 +465,7 @@ TEST(ObsJobTrace, SpanTreeAndHexId) {
 }
 
 TEST(ObsJobTrace, ChromeExportShapeAndConnectivity) {
-  JobTrace trace(42);
+  SpanStore trace(42);
   std::uint64_t root = trace.begin("job", "serve", 0);
   std::uint64_t stage = trace.begin("flow.run", "flow", root);
   std::uint64_t open_span = trace.begin("never.closed", "flow", stage);
@@ -477,7 +476,7 @@ TEST(ObsJobTrace, ChromeExportShapeAndConnectivity) {
   trace.end(root, {{"status", "ok"}});
 
   JsonWriter w;
-  trace.write_chrome_trace(w, /*pid=*/7);
+  trace.write_job_trace(w, /*pid=*/7);
   JsonValue doc = parse_json(w.str());
   const JsonValue* events = doc.find("traceEvents");
   ASSERT_TRUE(events && events->is_array());
@@ -492,6 +491,7 @@ TEST(ObsJobTrace, ChromeExportShapeAndConnectivity) {
       continue;
     }
     ASSERT_EQ(ph, "X");
+    // Ends are clamped past starts so zero-width spans stay visible.
     EXPECT_GT(e.at("dur").number, 0);
     span_ids.insert(
         static_cast<std::uint64_t>(e.at("args").at("span_id").number));
@@ -518,7 +518,8 @@ TEST(ObsJobTrace, ChromeExportShapeAndConnectivity) {
 TEST(ObsJobTrace, InertContextCostsNothing) {
   TraceContext empty;
   EXPECT_FALSE(empty.active());
-  TraceSpan span(empty, "anything");
+  EXPECT_FALSE(empty.with_sink(nullptr).active());
+  Span span(empty, "anything");
   EXPECT_FALSE(span.active());
   span.arg("ignored", std::uint64_t{1});
   // Child contexts of an inert span stay inert.
@@ -526,23 +527,21 @@ TEST(ObsJobTrace, InertContextCostsNothing) {
 }
 
 TEST(ObsJobTrace, TraceSpanRaiiAttachesArgsOnClose) {
-  auto trace = std::make_shared<JobTrace>(1);
+  auto trace = std::make_shared<SpanStore>(1);
   TraceContext root_ctx(trace, 0);
-  std::uint64_t child_id = 0;
   {
-    TraceSpan span(root_ctx, "stage", "flow");
+    Span span(root_ctx, "stage", "flow");
     ASSERT_TRUE(span.active());
     span.arg("k", "v");
-    TraceSpan child(span.context(), "inner");
-    child_id = child.id();
+    Span child(span.context(), "inner");
   }
-  std::vector<TraceSpanRecord> spans = trace->spans();
+  std::vector<SpanRecord> spans = trace->spans();
   ASSERT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans[0].name, "stage");
   ASSERT_EQ(spans[0].args.size(), 1u);
   EXPECT_EQ(spans[0].args[0].first, "k");
-  EXPECT_GT(spans[0].end_us, 0u);
-  EXPECT_EQ(spans[1].id, child_id);
+  EXPECT_TRUE(spans[0].closed());
+  EXPECT_TRUE(spans[1].closed());
   EXPECT_EQ(spans[1].parent, spans[0].id);
 }
 

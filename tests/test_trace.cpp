@@ -1,17 +1,23 @@
-// Trace-layer tests: the span tracer must produce well-formed Chrome
-// trace_event JSON (validated with the repo's own parser) with balanced
-// B/E pairs per track even under a multi-threaded DSE batch, stage spans
-// must carry their cache disposition, and the structured logger must honour
+// Trace-layer tests: the span store's process timeline must be well-formed
+// Chrome trace_event JSON (validated with the repo's own parser) with
+// balanced B/E pairs per track even under a multi-threaded DSE batch,
+// stage spans must carry their cache disposition — identically in the
+// timeline and the per-job tree — and the structured logger must honour
 // levels and render fields.
 
-#include "trace/tracer.hpp"
+#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "report/json.hpp"
 #include "report/json_parse.hpp"
 #include "runtime/flow.hpp"
 #include "trace/flush.hpp"
@@ -20,59 +26,88 @@
 namespace adc {
 namespace {
 
-// --- tracer unit ----------------------------------------------------------
+JsonValue timeline_json(const obs::SpanStore& store) {
+  std::ostringstream os;
+  store.write_timeline(os);
+  return parse_json(os.str());
+}
+
+// --- span store unit --------------------------------------------------------
 
 TEST(Tracer, SpansBeginAndEndOnOneTrack) {
-  Tracer tracer;
+  obs::SpanStore store;
   {
-    ScopedSpan outer(&tracer, "outer", "test");
-    ScopedSpan inner(&tracer, "inner", "test");
+    obs::Span outer(obs::TraceContext().with_sink(&store), "outer", "test");
+    obs::Span inner(outer.context(), "inner", "test");
     inner.arg("cache", "miss");
   }
-  auto tracks = tracer.tracks();
-  ASSERT_EQ(tracks.size(), 1u);
-  auto events = tracer.events_for_track(tracks[0]);
+  auto spans = store.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[1].parent, spans[0].id);
+
+  const JsonValue doc = timeline_json(store);
+  const auto& events = doc.at("traceEvents").array;
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events[0].phase, TraceEvent::Phase::kBegin);
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[1].name, "inner");
+  for (const JsonValue& ev : events) EXPECT_EQ(ev.at("tid").number, 1.0);
+  EXPECT_EQ(events[0].at("ph").string, "B");
+  EXPECT_EQ(events[0].at("name").string, "outer");
+  EXPECT_EQ(events[1].at("name").string, "inner");
   // Inner ends before outer; args land on the end event.
-  EXPECT_EQ(events[2].phase, TraceEvent::Phase::kEnd);
-  EXPECT_EQ(events[2].name, "inner");
-  ASSERT_EQ(events[2].args.size(), 1u);
-  EXPECT_EQ(events[2].args[0].first, "cache");
-  EXPECT_EQ(events[2].args[0].second, "miss");
-  EXPECT_EQ(events[3].name, "outer");
+  EXPECT_EQ(events[2].at("ph").string, "E");
+  EXPECT_EQ(events[2].at("name").string, "inner");
+  EXPECT_EQ(events[2].at("args").at("cache").string, "miss");
+  EXPECT_EQ(events[3].at("name").string, "outer");
 }
 
 TEST(Tracer, TimestampsAreMonotonicPerTrack) {
-  Tracer tracer;
-  for (int i = 0; i < 10; ++i) ScopedSpan span(&tracer, "s", "test");
-  auto events = tracer.events_for_track(tracer.tracks()[0]);
+  obs::SpanStore store;
+  const obs::TraceContext ctx = obs::TraceContext().with_sink(&store);
+  for (int i = 0; i < 10; ++i) obs::Span span(ctx, "s", "test");
+  const JsonValue doc = timeline_json(store);
+  const auto& events = doc.at("traceEvents").array;
+  ASSERT_EQ(events.size(), 20u);
   for (std::size_t i = 1; i < events.size(); ++i)
-    EXPECT_GE(events[i].ts_micros, events[i - 1].ts_micros);
+    EXPECT_GE(events[i].at("ts").number, events[i - 1].at("ts").number);
 }
 
 TEST(Tracer, NullTracerIsANoOp) {
-  ScopedSpan span(nullptr, "ignored");
+  obs::Span span(obs::TraceContext().with_sink(nullptr), "ignored");
   span.arg("k", "v");
-  // Nothing to assert beyond "does not crash".
+  EXPECT_FALSE(span.active());
 }
 
 TEST(Tracer, CounterAndInstantEvents) {
-  Tracer tracer;
-  tracer.counter("queue", 3);
-  tracer.instant("deadlock", "sim", {{"benchmark", "x"}});
-  auto events = tracer.events_for_track(tracer.tracks()[0]);
+  obs::SpanStore store;
+  store.counter("queue", 3);
+  store.instant("deadlock", "sim", {{"benchmark", "x"}});
+  const JsonValue doc = timeline_json(store);
+  const auto& events = doc.at("traceEvents").array;
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, TraceEvent::Phase::kCounter);
-  EXPECT_EQ(events[0].counter_value, 3);
-  EXPECT_EQ(events[1].phase, TraceEvent::Phase::kInstant);
+  EXPECT_EQ(events[0].at("ph").string, "C");
+  EXPECT_EQ(events[0].at("args").at("value").number, 3.0);
+  EXPECT_EQ(events[1].at("ph").string, "i");
+  EXPECT_EQ(events[1].at("s").string, "t");
+  EXPECT_EQ(events[1].at("args").at("benchmark").string, "x");
+}
+
+TEST(Tracer, OpenSpansAreFlushedAsInterrupted) {
+  obs::SpanStore store;
+  std::uint64_t outer = store.begin("outer", "test", 0);
+  store.begin("inner", "test", outer);
+  const JsonValue doc = timeline_json(store);
+  const auto& events = doc.at("traceEvents").array;
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[2].at("name").string, "inner");
+  EXPECT_EQ(events[3].at("name").string, "outer");
+  for (std::size_t i : {2u, 3u}) {
+    EXPECT_EQ(events[i].at("ph").string, "E");
+    EXPECT_EQ(events[i].at("args").at("flushed").string, "interrupted");
+  }
 }
 
 // --- Chrome JSON schema under a multi-threaded batch ----------------------
 
-JsonValue traced_batch(Tracer& tracer) {
+JsonValue traced_batch(obs::SpanStore& tracer) {
   const BuiltinBenchmark* b = find_builtin("mac_reduce");
   std::vector<FlowRequest> reqs;
   for (const char* script : {"lt", "gt2; gt5; lt", "gt1; gt2; gt4; gt2; gt5; lt"})
@@ -83,13 +118,11 @@ JsonValue traced_batch(Tracer& tracer) {
   FlowExecutor exec(&pool, opts);
   auto points = exec.run_all(reqs);
   for (const auto& p : points) EXPECT_TRUE(p.ok) << p.script << ": " << p.error;
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  return parse_json(os.str());
+  return timeline_json(tracer);
 }
 
 TEST(ChromeTrace, WellFormedWithBalancedSpansPerTrack) {
-  Tracer tracer;
+  obs::SpanStore tracer;
   JsonValue doc = traced_batch(tracer);
   ASSERT_TRUE(doc.is_object());
   const JsonValue& events = doc.at("traceEvents");
@@ -120,18 +153,24 @@ TEST(ChromeTrace, WellFormedWithBalancedSpansPerTrack) {
 }
 
 TEST(ChromeTrace, StageSpansCarryCacheDisposition) {
-  Tracer tracer;
+  obs::SpanStore tracer;
   JsonValue doc = traced_batch(tracer);
   std::map<std::string, int> cache_args;  // "hit"/"miss" -> count
-  std::map<std::string, int> span_names;
+  std::map<std::string, int> span_names;  // full names and "prefix:" forms
   for (const JsonValue& ev : doc.at("traceEvents").array) {
-    if (ev.at("ph").string == "B") ++span_names[ev.at("name").string];
+    if (ev.at("ph").string == "B") {
+      const std::string& name = ev.at("name").string;
+      ++span_names[name];
+      if (auto colon = name.find(':'); colon != std::string::npos)
+        ++span_names[name.substr(0, colon + 1)];
+    }
     if (ev.at("ph").string != "E") continue;
     if (const JsonValue* args = ev.find("args"))
       if (const JsonValue* cache = args->find("cache")) ++cache_args[cache->string];
   }
   // Every flow stage appears as a span...
-  for (const char* stage : {"flow.run", "frontend", "global", "controllers", "sim"})
+  for (const char* stage :
+       {"flow.run", "frontend", "global", "controllers", "controller:", "fn:", "sim"})
     EXPECT_GT(span_names[stage], 0) << stage;
   EXPECT_GT(span_names["gt2"], 0) << "per-step global spans";
   // ...and the cache disposition annotations include both outcomes (three
@@ -141,7 +180,7 @@ TEST(ChromeTrace, StageSpansCarryCacheDisposition) {
 }
 
 TEST(ChromeTrace, GaugesAreSampledAsCounterEvents) {
-  Tracer tracer;
+  obs::SpanStore tracer;
   JsonValue doc = traced_batch(tracer);
   std::map<std::string, int> counters;
   for (const JsonValue& ev : doc.at("traceEvents").array) {
@@ -152,6 +191,56 @@ TEST(ChromeTrace, GaugesAreSampledAsCounterEvents) {
   EXPECT_GT(counters["cache.entries"], 0);
   EXPECT_GT(counters["cache.bytes"], 0);
   EXPECT_GT(counters["pool.pending"], 0);
+}
+
+// One point traced into a process timeline and a per-job tree at once:
+// every span lands in both exports under the same name with the same
+// `cache` argument, and the point's StageTimings name the same stages.
+TEST(ChromeTrace, TimelineAndJobTraceRecordTheSameStages) {
+  obs::SpanStore timeline;
+  auto job = std::make_shared<obs::SpanStore>(7);
+  FlowExecutor::Options opts;
+  opts.tracer = &timeline;
+  FlowExecutor exec(nullptr, opts);
+  FlowRequest req = make_builtin_request(*find_builtin("mac_reduce"), "gt2; gt5; lt");
+  req.trace = obs::TraceContext(job, 0);
+  FlowPoint p = exec.run(req);
+  ASSERT_TRUE(p.ok) << p.error;
+
+  using Tagged = std::vector<std::pair<std::string, std::string>>;  // name, cache
+  auto cache_of = [](const JsonValue& ev) -> std::string {
+    const JsonValue* args = ev.find("args");
+    const JsonValue* cache = args ? args->find("cache") : nullptr;
+    return cache ? cache->string : "";
+  };
+  Tagged from_timeline, from_job;
+  const JsonValue timeline_doc = timeline_json(timeline);
+  for (const JsonValue& ev : timeline_doc.at("traceEvents").array)
+    if (ev.at("ph").string == "E") from_timeline.emplace_back(ev.at("name").string, cache_of(ev));
+  JsonWriter w;
+  job->write_job_trace(w, 1);
+  const JsonValue job_doc = parse_json(w.str());
+  for (const JsonValue& ev : job_doc.at("traceEvents").array)
+    if (ev.at("ph").string == "X") from_job.emplace_back(ev.at("name").string, cache_of(ev));
+  std::sort(from_timeline.begin(), from_timeline.end());
+  std::sort(from_job.begin(), from_job.end());
+  EXPECT_EQ(from_timeline, from_job);
+
+  ASSERT_FALSE(p.timings.empty());
+  for (const StageTiming& t : p.timings) {
+    auto it = std::find_if(from_job.begin(), from_job.end(),
+                           [&](const auto& s) { return s.first == t.stage; });
+    ASSERT_NE(it, from_job.end()) << t.stage;
+    if (!it->second.empty()) {
+      EXPECT_EQ(it->second, t.cached ? "hit" : "miss") << t.stage;
+    }
+  }
+  auto has = [&](const char* prefix) {
+    return std::any_of(from_job.begin(), from_job.end(),
+                       [&](const auto& s) { return s.first.rfind(prefix, 0) == 0; });
+  };
+  EXPECT_TRUE(has("fn:")) << "per-function logic spans reach both exports";
+  EXPECT_TRUE(has("gt5"));
 }
 
 // --- structured logger ----------------------------------------------------

@@ -25,13 +25,14 @@
 //   --threshold PCT         p50 wall growth counted as a regression (10)
 //   --min-time-us US        ignore benchmarks faster than this floor (50)
 //   --ratio A:B:PCT         cross-benchmark gate within one run (or the NEW
-//                           report of --diff): p50 wall of A must stay
-//                           within PCT%% of B's, i.e. p50(A) <= p50(B) *
-//                           (1 + PCT/100).  Repeatable.  In run mode the
-//                           pair is measured with interleaved iterations
-//                           (A,B,A,B,...) so in-process drift cancels out
-//                           of the ratio instead of skewing whichever side
-//                           runs later.  This is how the profiled DSE sweep
+//                           report of --diff): wall of A must stay within
+//                           PCT%% of B's.  Repeatable.  In run mode the pair
+//                           is measured in interleaved ABBA rounds
+//                           (A,B, B,A, A,B, ...) and the gate is the median
+//                           of the per-round A/B wall ratios, so drift and
+//                           slot order cancel out of the ratio; --diff mode
+//                           compares p50(A) <= p50(B) * (1 + PCT/100).
+//                           This is how the profiled DSE sweep
 //                           (dse.grid_profiled) is held to <= 5%% over
 //                           dse.grid_cold_serial without depending on a
 //                           saved baseline's absolute times.
@@ -45,6 +46,7 @@
 //
 // A vanished benchmark is always a regression; a new one never is.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -89,7 +91,7 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-// One --ratio A:B:PCT gate: p50 wall of A must not exceed B's by more than
+// One --ratio A:B:PCT gate: A's wall time must not exceed B's by more than
 // PCT percent.  Both benchmarks come from the SAME run, so machine speed
 // cancels out — unlike a --baseline diff, the gate holds on any hardware.
 struct RatioSpec {
@@ -110,10 +112,14 @@ RatioSpec parse_ratio(const std::string& spec) {
 }
 
 // Evaluates a parsed gate against the two records (either side may be null
-// when the benchmark is missing).  Returns false (and prints why) on
-// failure.
+// when the benchmark is missing).  With per-round ratios from an
+// interleaved pair the gate is their median — each round's A and B ran
+// back to back, so a slow stretch of the host scales both and cancels;
+// without them (--diff of two stored reports) it is the ratio of the p50s.
+// Returns false (and prints why) on failure.
 bool eval_ratio(const perf::BenchRecord* a, const perf::BenchRecord* b,
-                const RatioSpec& spec, FILE* log) {
+                const RatioSpec& spec, FILE* log,
+                std::vector<double> ratios = {}) {
   if (!a || !b) {
     std::fprintf(log, "ratio %s vs %s: FAIL (%s not measured)\n",
                  spec.a.c_str(), spec.b.c_str(),
@@ -127,15 +133,20 @@ bool eval_ratio(const perf::BenchRecord* a, const perf::BenchRecord* b,
                  a->status != "ok" ? a->status.c_str() : b->status.c_str());
     return false;
   }
-  const double limit = b->wall_us.p50 * (1.0 + spec.pct / 100.0);
-  const bool ok = b->wall_us.p50 > 0.0 && a->wall_us.p50 <= limit;
-  const double actual_pct =
-      b->wall_us.p50 > 0.0
-          ? (a->wall_us.p50 - b->wall_us.p50) / b->wall_us.p50 * 100.0
-          : 0.0;
-  std::fprintf(log, "ratio %s vs %s: p50 %.0f us vs %.0f us (%+.1f%%, gate +%.1f%%) %s\n",
-               spec.a.c_str(), spec.b.c_str(), a->wall_us.p50, b->wall_us.p50,
-               actual_pct, spec.pct, ok ? "ok" : "FAIL");
+  double ratio = b->wall_us.p50 > 0.0 ? a->wall_us.p50 / b->wall_us.p50 : 0.0;
+  const char* basis = "p50 ratio";
+  if (!ratios.empty()) {
+    std::sort(ratios.begin(), ratios.end());
+    const std::size_t n = ratios.size();
+    ratio = n % 2 ? ratios[n / 2] : 0.5 * (ratios[n / 2 - 1] + ratios[n / 2]);
+    basis = "median of per-round ratios";
+  }
+  const bool ok = ratio > 0.0 && ratio <= 1.0 + spec.pct / 100.0;
+  std::fprintf(log,
+               "ratio %s vs %s: p50 %.0f us vs %.0f us, %s %+.1f%% over %zu rounds "
+               "(gate +%.1f%%) %s\n",
+               spec.a.c_str(), spec.b.c_str(), a->wall_us.p50, b->wall_us.p50, basis,
+               (ratio - 1.0) * 100.0, ratios.size(), spec.pct, ok ? "ok" : "FAIL");
   return ok;
 }
 
@@ -267,13 +278,11 @@ int main(int argc, char** argv) {
       }
       auto pair = perf::measure_interleaved(*a, *b, mopts);
       ratios_ok =
-          eval_ratio(&pair.first, &pair.second, spec, log) && ratios_ok;
+          eval_ratio(&pair.a, &pair.b, spec, log, pair.ratios) && ratios_ok;
       // The interleaved samples are measured under the same policy — they
       // belong in the emitted report like any sequential record.
-      if (!rep.find(pair.first.name))
-        rep.benchmarks.push_back(std::move(pair.first));
-      if (!rep.find(pair.second.name))
-        rep.benchmarks.push_back(std::move(pair.second));
+      if (!rep.find(pair.a.name)) rep.benchmarks.push_back(std::move(pair.a));
+      if (!rep.find(pair.b.name)) rep.benchmarks.push_back(std::move(pair.b));
       if (mopts.on_record) mopts.on_record(rep);
     }
 

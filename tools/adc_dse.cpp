@@ -86,13 +86,13 @@
 #include "analysis/build.hpp"
 #include "analysis/explain.hpp"
 #include "analysis/grid.hpp"
+#include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/flow.hpp"
 #include "trace/flush.hpp"
 #include "trace/log.hpp"
-#include "trace/tracer.hpp"
 #include "trace/vcd.hpp"
 
 using namespace adc;
@@ -382,9 +382,10 @@ int main(int argc, char** argv) {
     // Evaluate, parallel then (optionally) serial for cross-checking.
     std::unique_ptr<ThreadPool> pool;
     if (jobs > 0) pool = std::make_unique<ThreadPool>(jobs);
-    auto tracer = std::make_shared<Tracer>();
+    auto tracer = std::make_shared<obs::SpanStore>();
     FlowExecutor::Options opts;
     if (!trace_path.empty()) opts.tracer = tracer.get();
+    const obs::TraceContext timeline = obs::TraceContext().with_sink(opts.tracer);
     opts.disk_cache_dir = cache_dir;
     opts.disk_cache_bytes = cache_bytes;
     // Interrupted batches still flush a balanced partial trace.
@@ -392,7 +393,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty())
       trace_token = register_artifact_flush(trace_path, [tracer, trace_path] {
         std::ofstream out(trace_path);
-        tracer->write_chrome_trace(out);
+        tracer->write_timeline(out);
       });
     FlowExecutor exec(pool.get(), opts);
     auto t0 = std::chrono::steady_clock::now();
@@ -477,10 +478,10 @@ int main(int argc, char** argv) {
     // analysis.* gauges so the --json metrics object carries them.
     std::unique_ptr<analysis::DseProfile> profile;
     if (profiling) {
-      ScopedSpan span(opts.tracer, "analysis.profile");
+      obs::Span span(timeline, "analysis.profile");
       profile = std::make_unique<analysis::DseProfile>(
           analysis::build_dse_profile(points, "adc_dse"));
-      MetricsRegistry& m = exec.metrics();
+      obs::Registry& m = exec.metrics();
       m.gauge("analysis.points")
           .set(static_cast<std::int64_t>(profile->points.size()));
       m.gauge("analysis.frontier_size")
@@ -603,7 +604,7 @@ int main(int argc, char** argv) {
         write_json(w, points[i], extras[i]);
       w.end_array();
       w.key("metrics");
-      exec.metrics().write_json(w);
+      exec.metrics().write_summary_json(w);
       w.end_object();
       if (json_path == "-") {
         std::printf("%s\n", w.str().c_str());
@@ -630,11 +631,11 @@ int main(int argc, char** argv) {
         }
       }
       if (frontier) {
-        ScopedSpan span(opts.tracer, "analysis.frontier");
+        obs::Span span(timeline, "analysis.frontier");
         std::printf("%s", frontier_report(*profile).c_str());
       }
       if (!explain_spec.empty()) {
-        ScopedSpan span(opts.tracer, "analysis.explain");
+        obs::Span span(timeline, "analysis.explain");
         auto colon = explain_spec.find(':');
         std::size_t ia = resolve_explain_ref(explain_spec.substr(0, colon), points);
         std::size_t ib = resolve_explain_ref(explain_spec.substr(colon + 1), points);
@@ -643,12 +644,15 @@ int main(int argc, char** argv) {
         std::printf("%s", rep.to_table().c_str());
       }
     }
-    if (dump_metrics)
-      std::fprintf(stderr, "%s\n", exec.metrics().to_json().c_str());
+    if (dump_metrics) {
+      JsonWriter w;
+      exec.metrics().write_summary_json(w);
+      std::fprintf(stderr, "%s\n", w.str().c_str());
+    }
     if (!trace_path.empty()) {
       unregister_artifact_flush(trace_token);
       std::ofstream out(trace_path);
-      tracer->write_chrome_trace(out);
+      tracer->write_timeline(out);
       if (!out) throw std::runtime_error("cannot write " + trace_path);
       std::fprintf(stderr, "adc_dse: wrote %s\n", trace_path.c_str());
     }

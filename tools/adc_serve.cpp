@@ -58,12 +58,12 @@
 #include <fstream>
 #include <thread>
 
+#include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "runtime/fault.hpp"
 #include "serve/server.hpp"
 #include "trace/flush.hpp"
 #include "trace/log.hpp"
-#include "trace/tracer.hpp"
 
 using namespace adc;
 
@@ -158,13 +158,13 @@ int main(int argc, char** argv) {
     if (!fault_spec.empty()) fault().configure(fault_spec);
     opts.pool_threads = pool_jobs;
 
-    auto tracer = std::make_shared<Tracer>();
+    auto tracer = std::make_shared<obs::SpanStore>();
     int trace_token = -1;
     if (!trace_path.empty()) {
       opts.flow.tracer = tracer.get();
       trace_token = register_artifact_flush(trace_path, [tracer, trace_path] {
         std::ofstream out(trace_path);
-        tracer->write_chrome_trace(out);
+        tracer->write_timeline(out);
       });
     }
 
@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       unregister_artifact_flush(trace_token);
       std::ofstream out(trace_path);
-      tracer->write_chrome_trace(out);
+      tracer->write_timeline(out);
       if (!out) throw std::runtime_error("cannot write " + trace_path);
       std::fprintf(stderr, "adc_serve: wrote %s\n", trace_path.c_str());
     }

@@ -67,13 +67,13 @@
 #include "logic/minimize.hpp"
 #include "logic/netlist.hpp"
 #include "logic/stats.hpp"
+#include "obs/trace.hpp"
 #include "report/json.hpp"
 #include "report/table.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/flow.hpp"
 #include "trace/flush.hpp"
 #include "trace/log.hpp"
-#include "trace/tracer.hpp"
 #include "trace/vcd.hpp"
 #include "xbm/print.hpp"
 
@@ -245,7 +245,7 @@ int main(int argc, char** argv) {
     // buffers finished spans; the VCD writer always emits a full file).
     auto vcd = std::make_shared<VcdWriter>();
     if (!vcd_path.empty()) req.sim.vcd = vcd.get();
-    auto tracer = std::make_shared<Tracer>();
+    auto tracer = std::make_shared<obs::SpanStore>();
     FlowExecutor::Options opts;
     if (!trace_path.empty()) opts.tracer = tracer.get();
 
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty() && trace_path != "-")
       trace_token = register_artifact_flush(trace_path, [tracer, trace_path] {
         std::ofstream out(trace_path);
-        tracer->write_chrome_trace(out);
+        tracer->write_timeline(out);
       });
     if (!vcd_path.empty() && vcd_path != "-")
       vcd_token = register_artifact_flush(vcd_path, [vcd, vcd_path] {
@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
     // cache) and attribute the cycle-time delta to the differing
     // transform decisions.
     if (!explain_vs.empty()) {
-      ScopedSpan span(opts.tracer, "analysis.explain");
+      obs::Span span(obs::TraceContext().with_sink(opts.tracer), "analysis.explain");
       FlowRequest req2 = req;
       req2.script = explain_vs;
       req2.cancel = CancelToken();
@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       unregister_artifact_flush(trace_token);
       std::ofstream out(trace_path);
-      tracer->write_chrome_trace(out);
+      tracer->write_timeline(out);
       if (!out) throw std::runtime_error("cannot write " + trace_path);
       artifact_paths.emplace_back("trace", trace_path);
     }
