@@ -63,8 +63,10 @@ struct CoverOptions {
   // exact branch-and-bound and the greedy covering loop; a tripped token
   // unwinds with CancelledError.  Not owned; null = never cancelled.
   const CancelToken* cancel = nullptr;
-  // Optional cover memo (logic/memo.hpp): identical spec content replays
-  // the stored cover instead of recomputing.  Not owned; null = off.
+  // Optional memo (logic/memo.hpp): identical spec content replays the
+  // stored cover instead of recomputing, and synthesize_logic replays the
+  // state encoding of an identical machine structure.  Not owned; null =
+  // off.
   LogicMemo* memo = nullptr;
 };
 

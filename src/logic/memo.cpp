@@ -69,6 +69,19 @@ Fingerprint spec_fingerprint(const FunctionSpec& f, bool exact, int exact_limit)
   return b.digest();
 }
 
+Fingerprint encoding_fingerprint(const ConcreteMachine& cm) {
+  FingerprintBuilder b;
+  b.add("encoding-v1");
+  b.add(static_cast<std::uint64_t>(cm.states.size()));
+  b.add(static_cast<std::uint64_t>(cm.initial));
+  b.add(static_cast<std::uint64_t>(cm.transitions.size()));
+  for (const auto& t : cm.transitions) {
+    b.add(static_cast<std::uint64_t>(t.from));
+    b.add(static_cast<std::uint64_t>(t.to));
+  }
+  return b.digest();
+}
+
 std::string LogicMemo::serialize(const Entry& e) {
   std::size_t vars = e.products.empty() ? 0 : e.products.front().var_count();
   std::string body;
@@ -138,13 +151,11 @@ std::optional<LogicMemo::Entry> LogicMemo::deserialize(const std::string& payloa
 }
 
 std::shared_ptr<const LogicMemo::Entry> LogicMemo::lookup(const Fingerprint& key) {
-  if (capacity_ > 0) {
+  {
     std::lock_guard<std::mutex> lk(mu_);
-    auto it = slots_.find(key);
-    if (it != slots_.end()) {
-      it->second.lru = ++tick_;
+    if (auto hit = find_locked(slots_, key)) {
       ++stats_.hits;
-      return it->second.entry;
+      return hit;
     }
   }
   if (disk_ && disk_->enabled()) {
@@ -152,7 +163,7 @@ std::shared_ptr<const LogicMemo::Entry> LogicMemo::lookup(const Fingerprint& key
       if (auto parsed = deserialize(*payload)) {
         auto entry = std::make_shared<const Entry>(std::move(*parsed));
         std::lock_guard<std::mutex> lk(mu_);
-        insert_locked(key, entry);
+        stats_.evictions += insert_locked(slots_, key, entry);
         ++stats_.disk_hits;
         return entry;
       }
@@ -181,7 +192,7 @@ void LogicMemo::fill(const Fingerprint& key, std::shared_ptr<const Entry> entry)
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
-    insert_locked(key, entry);
+    stats_.evictions += insert_locked(slots_, key, entry);
     ++stats_.fills;
   }
   if (disk_ && disk_->enabled()) {
@@ -197,21 +208,46 @@ void LogicMemo::fill(const Fingerprint& key, std::shared_ptr<const Entry> entry)
   }
 }
 
-void LogicMemo::insert_locked(const Fingerprint& key, std::shared_ptr<const Entry> e) {
-  if (capacity_ == 0) return;
-  auto it = slots_.find(key);
-  if (it != slots_.end()) {
+std::shared_ptr<const Encoding> LogicMemo::lookup_encoding(const Fingerprint& key) {
+  std::lock_guard<std::mutex> lk(mu_);
+  auto hit = find_locked(encodings_, key);
+  ++(hit ? stats_.encode_hits : stats_.encode_misses);
+  return hit;
+}
+
+void LogicMemo::fill_encoding(const Fingerprint& key, Encoding enc) {
+  auto entry = std::make_shared<const Encoding>(std::move(enc));
+  std::lock_guard<std::mutex> lk(mu_);
+  insert_locked(encodings_, key, std::move(entry));
+}
+
+template <class T>
+std::shared_ptr<const T> LogicMemo::find_locked(SlotMap<T>& slots, const Fingerprint& key) {
+  auto it = slots.find(key);
+  if (it == slots.end()) return nullptr;
+  it->second.lru = ++tick_;
+  return it->second.entry;
+}
+
+template <class T>
+std::size_t LogicMemo::insert_locked(SlotMap<T>& slots, const Fingerprint& key,
+                                     std::shared_ptr<const T> e) {
+  if (capacity_ == 0) return 0;
+  auto it = slots.find(key);
+  if (it != slots.end()) {
     it->second.lru = ++tick_;
-    return;  // first value wins; entries are deterministic anyway
+    return 0;  // first value wins; entries are deterministic anyway
   }
-  slots_.emplace(key, Slot{std::move(e), ++tick_});
-  while (slots_.size() > capacity_) {
-    auto victim = slots_.begin();
-    for (auto sit = slots_.begin(); sit != slots_.end(); ++sit)
+  slots.emplace(key, Slot<T>{std::move(e), ++tick_});
+  std::size_t evicted = 0;
+  while (slots.size() > capacity_) {
+    auto victim = slots.begin();
+    for (auto sit = slots.begin(); sit != slots.end(); ++sit)
       if (sit->second.lru < victim->second.lru) victim = sit;
-    slots_.erase(victim);
-    ++stats_.evictions;
+    slots.erase(victim);
+    ++evicted;
   }
+  return evicted;
 }
 
 LogicMemo::Stats LogicMemo::stats() const {
@@ -224,6 +260,7 @@ LogicMemo::Stats LogicMemo::stats() const {
 void LogicMemo::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   slots_.clear();
+  encodings_.clear();
 }
 
 }  // namespace adc

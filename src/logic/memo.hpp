@@ -1,6 +1,7 @@
 #pragma once
-// Content-addressed memo for hazard-free covers — the logic-level analogue
-// of the stage cache's prefix reuse.
+// Content-addressed memo for the two expensive pure steps of two-level
+// synthesis — hazard-free covers and state encodings — the logic-level
+// analogue of the stage cache's prefix reuse.
 //
 // A cover is a pure function of the FunctionSpec *content* (variable
 // count, required / OFF / dynamic cube sets) and the covering options.
@@ -12,15 +13,23 @@
 // function name is excluded (issue strings are stored as name-free
 // suffixes and re-prefixed on replay).
 //
-// Two tiers, mirroring the point cache: a bounded in-memory LRU map shared
-// by all workers of an executor, and an optional crash-safe disk tier
-// (runtime/disk_cache) keyed `logic-<fingerprint>`.  Disk payloads carry
-// their own checksum *inside* the ADCK envelope; a torn or bit-flipped
-// entry is detected on parse, evicted from disk, and recomputed — never
-// replayed wrong.  Fault-injection sites: `logic.memo.fill` (fail/stall
-// the fill path; failures are swallowed and counted, the memo is an
-// accelerator) and `logic.memo.put.payload` (corrupt the serialized cover
-// before it reaches the disk tier).
+// Covers have two tiers, mirroring the point cache: a bounded in-memory
+// LRU map shared by all workers of an executor, and an optional crash-safe
+// disk tier (runtime/disk_cache) keyed `logic-<fingerprint>`.  Disk
+// payloads carry their own checksum *inside* the ADCK envelope; a torn or
+// bit-flipped entry is detected on parse, evicted from disk, and
+// recomputed — never replayed wrong.  Fault-injection sites:
+// `logic.memo.fill` (fail/stall the fill path; failures are swallowed and
+// counted, the memo is an accelerator) and `logic.memo.put.payload`
+// (corrupt the serialized cover before it reaches the disk tier).
+//
+// Encodings (assign_codes results) live in a second in-memory LRU map of
+// the same capacity, keyed by encoding_fingerprint(): the state count, the
+// initial state and the ordered (from, to) transition pairs — exactly what
+// assign_codes reads.  Grid points whose controllers concretize to the
+// same structure replay the codes instead of re-running the search.  They
+// have no disk tier and their own hit/miss counters, so the cover
+// statistics mean the same as without them.
 
 #include <cstdint>
 #include <map>
@@ -30,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "logic/encoding.hpp"
 #include "logic/hazard_free.hpp"
 #include "runtime/fingerprint.hpp"
 
@@ -54,12 +64,15 @@ class LogicMemo {
     std::uint64_t fills = 0;         // entries stored
     std::uint64_t fill_errors = 0;   // injected/IO failures, swallowed
     std::uint64_t disk_corrupt = 0;  // torn disk payloads detected+evicted
-    std::uint64_t evictions = 0;     // in-memory LRU removals
-    std::uint64_t entries = 0;       // resident in-memory entries
+    std::uint64_t evictions = 0;     // in-memory LRU removals (covers)
+    std::uint64_t entries = 0;       // resident in-memory covers
+    std::uint64_t encode_hits = 0;   // encodings served from memory
+    std::uint64_t encode_misses = 0; // encodings the caller computed
   };
 
   // capacity == 0 disables the in-memory tier (and with no disk attached,
   // the memo as a whole: every lookup misses, every fill is dropped).
+  // It bounds the cover and the encoding maps separately.
   explicit LogicMemo(std::size_t capacity = 4096) : capacity_(capacity) {}
 
   // Borrowed; must outlive the memo.  Null detaches.
@@ -71,8 +84,12 @@ class LogicMemo {
   // Stores a computed cover in both tiers.  Failures never propagate.
   void fill(const Fingerprint& key, std::shared_ptr<const Entry> entry);
 
+  // Encodings: null on miss; fills are memory-only.
+  std::shared_ptr<const Encoding> lookup_encoding(const Fingerprint& key);
+  void fill_encoding(const Fingerprint& key, Encoding enc);
+
   Stats stats() const;
-  void clear();  // memory tier only; the disk tier persists
+  void clear();  // memory tier (covers and encodings); the disk tier persists
 
   // Payload codec for the disk tier (exposed for tests): version-tagged,
   // self-checksummed text.  deserialize returns nullopt on any defect.
@@ -84,16 +101,27 @@ class LogicMemo {
   }
 
  private:
+  template <class T>
   struct Slot {
-    std::shared_ptr<const Entry> entry;
+    std::shared_ptr<const T> entry;
     std::uint64_t lru = 0;
   };
-  void insert_locked(const Fingerprint& key, std::shared_ptr<const Entry> e);
+  template <class T>
+  using SlotMap = std::map<Fingerprint, Slot<T>>;
+
+  template <class T>
+  std::shared_ptr<const T> find_locked(SlotMap<T>& slots, const Fingerprint& key);
+  // Inserts (first value wins) and evicts down to capacity; returns the
+  // number of entries evicted.
+  template <class T>
+  std::size_t insert_locked(SlotMap<T>& slots, const Fingerprint& key,
+                            std::shared_ptr<const T> e);
 
   std::size_t capacity_;
   DiskCache* disk_ = nullptr;
   mutable std::mutex mu_;
-  std::map<Fingerprint, Slot> slots_;
+  SlotMap<Entry> slots_;
+  SlotMap<Encoding> encodings_;
   std::uint64_t tick_ = 0;
   Stats stats_;
 };
@@ -103,5 +131,9 @@ class LogicMemo {
 // candidate pool and the reduced requirement list are set-derived), the
 // name is excluded.
 Fingerprint spec_fingerprint(const FunctionSpec& f, bool exact, int exact_limit);
+
+// Fingerprint of everything assign_codes reads: the state count, the
+// initial state and the ordered (from, to) pairs of the transitions.
+Fingerprint encoding_fingerprint(const ConcreteMachine& cm);
 
 }  // namespace adc

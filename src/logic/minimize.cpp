@@ -3,6 +3,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "logic/memo.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace adc {
@@ -233,11 +234,22 @@ void share_products(std::vector<FunctionLogic>& functions,
   }
 }
 
+// State codes, replayed from the memo when a machine of the same structure
+// was encoded before.
+Encoding encode(const ConcreteMachine& cm, LogicMemo* memo) {
+  if (!memo) return assign_codes(cm);
+  const Fingerprint key = encoding_fingerprint(cm);
+  if (auto hit = memo->lookup_encoding(key)) return *hit;
+  Encoding enc = assign_codes(cm);
+  memo->fill_encoding(key, enc);
+  return enc;
+}
+
 LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* bindings,
                                      const SynthesisOptions& opts) {
   LogicSynthesisResult res;
   res.machine = concretize(m, bindings);
-  res.encoding = assign_codes(res.machine);
+  res.encoding = encode(res.machine, opts.cover.memo);
 
   // The per-function spec builds and minimizations are independent; each
   // writes its fixed slot, so the pool fan-out below is free to finish

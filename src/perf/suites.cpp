@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <mutex>
+#include <set>
 
 #include "analysis/build.hpp"
 #include "extract/extract.hpp"
@@ -16,6 +17,7 @@
 #include "sim/token_sim.hpp"
 #include "transforms/global.hpp"
 #include "transforms/pipeline.hpp"
+#include "transforms/script.hpp"
 
 namespace adc {
 namespace perf {
@@ -143,6 +145,28 @@ std::shared_ptr<const std::vector<FunctionSpec>> diffeq_specs() {
   return cached;
 }
 
+// Every distinct concretized machine of the GCD GT grid, deduplicated by
+// the encoding memo's key — the state-encoding hot path, where some
+// machines exhaust the exact search's budget.
+std::shared_ptr<const std::vector<ConcreteMachine>> gcd_grid_machines() {
+  static std::shared_ptr<const std::vector<ConcreteMachine>> cached = [] {
+    auto v = std::make_shared<std::vector<ConcreteMachine>>();
+    std::set<Fingerprint> seen;
+    for (const auto& recipe : gt_ablation_grid(true)) {
+      Cdfg g = gcd();
+      TransformScript script = TransformScript::parse(recipe);
+      GlobalPipelineResult res = script.run(g);
+      for (auto& c : extract_controllers(g, res.plan)) {
+        if (script.has_local_step()) run_local_transforms(c, script.local_options());
+        ConcreteMachine cm = concretize(c.machine, &c.bindings);
+        if (seen.insert(encoding_fingerprint(cm)).second) v->push_back(std::move(cm));
+      }
+    }
+    return v;
+  }();
+  return cached;
+}
+
 void register_logic() {
   add("logic", "logic.minimize_diffeq", [](BenchContext& ctx) {
     auto a = diffeq_artifacts();
@@ -187,6 +211,18 @@ void register_logic() {
     std::size_t products = 0;
     for (const auto& f : *specs) products += minimize_hazard_free(f, o).products.size();
     ctx.counters["products"] = static_cast<double>(products);
+  });
+  add("logic", "logic.encode_gcd", [](BenchContext& ctx) {
+    auto machines = gcd_grid_machines();
+    long nodes = 0, exhausted = 0;
+    for (const auto& cm : *machines) {
+      const long n = assign_codes(cm).search_nodes;
+      nodes += n;
+      if (n > kEncodingSearchBudget) ++exhausted;
+    }
+    ctx.counters["nodes"] = static_cast<double>(nodes);
+    ctx.counters["exhausted"] = static_cast<double>(exhausted);
+    ctx.counters["machines"] = static_cast<double>(machines->size());
   });
   add("logic", "logic.memo_warm_diffeq", [](BenchContext& ctx) {
     // Replay path: every spec is already in the memo, so the iteration

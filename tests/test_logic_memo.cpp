@@ -1,14 +1,21 @@
 // The content-addressed cover memo: replay equality, name-independence of
 // the key, the disk tier round trip, torn-entry detection/eviction, and
-// the fault-injection sites on the fill path.
+// the fault-injection sites on the fill path.  The encoding memo: its key,
+// its bounds, its counters and its use from several threads.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <thread>
 
+#include "extract/extract.hpp"
+#include "frontend/benchmarks.hpp"
 #include "logic/memo.hpp"
+#include "logic/minimize.hpp"
+#include "ltrans/local.hpp"
 #include "runtime/disk_cache.hpp"
 #include "runtime/fault.hpp"
+#include "transforms/pipeline.hpp"
 
 namespace adc {
 namespace {
@@ -43,6 +50,25 @@ FunctionSpec infeasible_spec(std::string name) {
   f.required = {cube("11-")};
   f.off = {cube("1--")};
   return f;
+}
+
+// GCD's ALU controller after the default pipeline and local transforms:
+// its exact encoding search runs out of budget, the case the encoding
+// memo pays off on.
+ExtractedController gcd_alu() {
+  Cdfg g = gcd();
+  auto res = run_global_transforms(g);
+  auto controllers = extract_controllers(g, res.plan);
+  std::size_t i = 0;
+  while (i + 1 < controllers.size() && controllers[i].machine.name() != "ALU1") ++i;
+  EXPECT_EQ(controllers[i].machine.name(), "ALU1");
+  run_local_transforms(controllers[i]);
+  return std::move(controllers[i]);
+}
+
+bool same_encoding(const Encoding& a, const Encoding& b) {
+  return a.bits == b.bits && a.code == b.code && a.distance1 == b.distance1 &&
+         a.total == b.total && a.search_nodes == b.search_nodes;
 }
 
 class LogicMemoTest : public ::testing::Test {
@@ -240,6 +266,125 @@ TEST_F(LogicMemoTest, LruEvictsAtCapacityAndZeroCapacityDisables) {
   off.fill(k1, entry);
   EXPECT_EQ(off.lookup(k1), nullptr);
   EXPECT_EQ(off.stats().entries, 0u);
+}
+
+TEST(EncodingMemo, IdenticalStructureHitsWithTheSameCodes) {
+  ExtractedController c = gcd_alu();
+  const Encoding fresh = synthesize_logic(c).encoding;
+  EXPECT_GT(fresh.search_nodes, kEncodingSearchBudget);
+
+  LogicMemo memo;
+  SynthesisOptions opts;
+  opts.cover.memo = &memo;
+  const Encoding first = synthesize_logic(c, opts).encoding;
+  EXPECT_EQ(memo.stats().encode_misses, 1u);
+  EXPECT_EQ(memo.stats().encode_hits, 0u);
+  const Encoding second = synthesize_logic(c, opts).encoding;
+  EXPECT_EQ(memo.stats().encode_misses, 1u);
+  EXPECT_EQ(memo.stats().encode_hits, 1u);
+  EXPECT_TRUE(same_encoding(first, fresh));
+  EXPECT_TRUE(same_encoding(second, fresh));
+}
+
+TEST(EncodingMemo, KeyCoversExactlyWhatTheEncoderReads) {
+  const ConcreteMachine cm = concretize(gcd_alu().machine);
+  ASSERT_GE(cm.transitions.size(), 2u);
+  const Fingerprint key = encoding_fingerprint(cm);
+
+  ConcreteMachine other_initial = cm;
+  other_initial.initial = 1;
+  EXPECT_NE(encoding_fingerprint(other_initial), key);
+
+  ConcreteMachine more_states = cm;
+  more_states.states.push_back(cm.states.back());
+  EXPECT_NE(encoding_fingerprint(more_states), key);
+
+  ConcreteMachine reordered = cm;
+  std::swap(reordered.transitions[0], reordered.transitions[1]);
+  ASSERT_FALSE(reordered.transitions[0].from == cm.transitions[0].from &&
+               reordered.transitions[0].to == cm.transitions[0].to);
+  EXPECT_NE(encoding_fingerprint(reordered), key);
+
+  // Burst contents, names and outputs do not reach the encoder.
+  ConcreteMachine relabelled = cm;
+  relabelled.input_names.push_back("extra");
+  relabelled.transitions[0].output_changes.clear();
+  relabelled.states[0].outputs.flip();
+  EXPECT_EQ(encoding_fingerprint(relabelled), key);
+}
+
+TEST(EncodingMemo, ZeroCapacityDisablesAndClearDrops) {
+  Encoding enc;
+  enc.bits = 2;
+  enc.code = {0, 1, 3};
+  const Fingerprint key = FingerprintBuilder().add("machine").digest();
+
+  LogicMemo off(0);
+  off.fill_encoding(key, enc);
+  EXPECT_EQ(off.lookup_encoding(key), nullptr);
+  EXPECT_EQ(off.stats().encode_misses, 1u);
+
+  LogicMemo memo(2);
+  memo.fill_encoding(key, enc);
+  auto hit = memo.lookup_encoding(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_TRUE(same_encoding(*hit, enc));
+  memo.clear();
+  EXPECT_EQ(memo.lookup_encoding(key), nullptr);
+
+  // The encoding map is bounded by the same capacity, LRU first.
+  const Fingerprint k2 = FingerprintBuilder().add("k2").digest();
+  const Fingerprint k3 = FingerprintBuilder().add("k3").digest();
+  memo.fill_encoding(key, enc);
+  memo.fill_encoding(k2, enc);
+  EXPECT_NE(memo.lookup_encoding(key), nullptr);
+  memo.fill_encoding(k3, enc);  // evicts k2
+  EXPECT_NE(memo.lookup_encoding(key), nullptr);
+  EXPECT_EQ(memo.lookup_encoding(k2), nullptr);
+  EXPECT_NE(memo.lookup_encoding(k3), nullptr);
+}
+
+TEST(EncodingMemo, CoverStatisticsIgnoreEncodingLookups) {
+  ExtractedController c = gcd_alu();
+  LogicMemo memo;
+  SynthesisOptions opts;
+  opts.cover.memo = &memo;
+  const std::size_t functions = synthesize_logic(c, opts).functions.size();
+  const LogicMemo::Stats cold = memo.stats();
+  EXPECT_EQ(cold.hits + cold.misses, functions);
+  EXPECT_EQ(cold.fills, cold.misses);
+
+  (void)synthesize_logic(c, opts);
+  const LogicMemo::Stats warm = memo.stats();
+  EXPECT_EQ(warm.hits, cold.hits + functions);
+  EXPECT_EQ(warm.misses, cold.misses);
+  EXPECT_EQ(warm.fills, cold.fills);
+  EXPECT_EQ(warm.entries, cold.entries);
+  EXPECT_EQ(warm.encode_hits, 1u);
+
+  (void)memo.lookup_encoding(FingerprintBuilder().add("absent").digest());
+  EXPECT_EQ(memo.stats().misses, warm.misses);
+  EXPECT_EQ(memo.stats().hits, warm.hits);
+}
+
+TEST(EncodingMemo, ConcurrentSynthesisGetsIdenticalEncodings) {
+  ExtractedController c = gcd_alu();
+  const Encoding fresh = assign_codes(concretize(c.machine, &c.bindings));
+  LogicMemo memo;
+  constexpr int kThreads = 4;
+  std::vector<Encoding> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      SynthesisOptions opts;
+      opts.cover.memo = &memo;
+      got[static_cast<std::size_t>(t)] = synthesize_logic(c, opts).encoding;
+    });
+  for (auto& th : threads) th.join();
+  for (const auto& e : got) EXPECT_TRUE(same_encoding(e, fresh));
+  const LogicMemo::Stats s = memo.stats();
+  EXPECT_EQ(s.encode_hits + s.encode_misses, static_cast<std::uint64_t>(kThreads));
+  EXPECT_GE(s.encode_misses, 1u);
 }
 
 }  // namespace
