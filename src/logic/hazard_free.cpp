@@ -268,34 +268,11 @@ std::vector<Cube> candidate_implicants(const FunctionSpec& f,
   return candidates_from_seeds(s, seeds, cancel);
 }
 
-CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts) {
-  Fingerprint memo_key;
-  if (opts.memo) {
-    memo_key = spec_fingerprint(f, opts.exact, opts.exact_limit);
-    if (auto hit = opts.memo->lookup(memo_key)) {
-      CoverResult res;
-      res.feasible = hit->feasible;
-      res.products = hit->products;
-      res.issues.reserve(hit->issue_suffixes.size());
-      for (const auto& s : hit->issue_suffixes) res.issues.push_back(f.name + ": " + s);
-      return res;
-    }
-  }
+namespace {
 
-  CoverResult res;
-  std::vector<std::string> issue_suffixes;
-  auto finish = [&]() -> CoverResult& {
-    for (const auto& s : issue_suffixes) res.issues.push_back(f.name + ": " + s);
-    if (opts.memo) {
-      auto entry = std::make_shared<LogicMemo::Entry>();
-      entry->feasible = res.feasible;
-      entry->products = res.products;
-      entry->issue_suffixes = std::move(issue_suffixes);
-      opts.memo->fill(memo_key, std::move(entry));
-    }
-    return res;
-  };
-
+// The cover of `f`, name-free: issues carry only the text after "<name>: ".
+LogicMemo::Entry compute_cover(const FunctionSpec& f, const CoverOptions& opts) {
+  LogicMemo::Entry res;
   SpecCtx s(f);
 
   // Spec sanity: a required cube whose anchor closure runs into an OFF
@@ -306,8 +283,8 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
     Cube seed = r;
     if (!grow_to_valid(s, seed)) {
       res.feasible = false;
-      issue_suffixes.push_back("required cube " + r.to_string() +
-                               " cannot be contained in any dhf implicant");
+      res.issue_suffixes.push_back("required cube " + r.to_string() +
+                                   " cannot be contained in any dhf implicant");
       continue;
     }
     required.push_back(r);
@@ -323,7 +300,7 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
   }
   std::sort(reduced.begin(), reduced.end());
   reduced.erase(std::unique(reduced.begin(), reduced.end()), reduced.end());
-  if (reduced.empty()) return finish();  // constant-0 (or fully unrealizable)
+  if (reduced.empty()) return res;  // constant-0 (or fully unrealizable)
 
   auto candidates = candidates_from_seeds(s, seeds, opts.cancel);
   CoverMatrix m(candidates, reduced);
@@ -333,7 +310,7 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
     auto best = solver.solve();
     if (!best.empty()) {
       for (std::size_t c : best) res.products.push_back(candidates[c]);
-      return finish();
+      return res;
     }
   }
 
@@ -357,7 +334,7 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
     }
     if (best_c == m.n_cand) {
       res.feasible = false;
-      issue_suffixes.push_back("covering failed (no candidate for a requirement)");
+      res.issue_suffixes.push_back("covering failed (no candidate for a requirement)");
       break;
     }
     res.products.push_back(candidates[best_c]);
@@ -365,7 +342,25 @@ CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts
     for (std::size_t w = 0; w < m.req_words; ++w) covered[w] |= row[w];
     covered_count += best_gain;
   }
-  return finish();
+  return res;
+}
+
+CoverResult with_name(const std::string& name, LogicMemo::Entry e) {
+  CoverResult res;
+  res.feasible = e.feasible;
+  res.products = std::move(e.products);
+  res.issues.reserve(e.issue_suffixes.size());
+  for (const auto& s : e.issue_suffixes) res.issues.push_back(name + ": " + s);
+  return res;
+}
+
+}  // namespace
+
+CoverResult minimize_hazard_free(const FunctionSpec& f, const CoverOptions& opts) {
+  if (!opts.memo) return with_name(f.name, compute_cover(f, opts));
+  return with_name(f.name,
+                   *opts.memo->cover(spec_fingerprint(f, opts.exact, opts.exact_limit),
+                                     [&] { return compute_cover(f, opts); }));
 }
 
 }  // namespace adc

@@ -150,116 +150,78 @@ std::optional<LogicMemo::Entry> LogicMemo::deserialize(const std::string& payloa
   return e;
 }
 
-std::shared_ptr<const LogicMemo::Entry> LogicMemo::lookup(const Fingerprint& key) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (auto hit = find_locked(slots_, key)) {
-      ++stats_.hits;
-      return hit;
-    }
-  }
-  if (disk_ && disk_->enabled()) {
-    if (auto payload = disk_->get(disk_key(key))) {
-      if (auto parsed = deserialize(*payload)) {
-        auto entry = std::make_shared<const Entry>(std::move(*parsed));
-        std::lock_guard<std::mutex> lk(mu_);
-        stats_.evictions += insert_locked(slots_, key, entry);
-        ++stats_.disk_hits;
-        return entry;
+std::shared_ptr<const LogicMemo::Entry> LogicMemo::cover(
+    const Fingerprint& key, const std::function<Entry()>& compute) {
+  return covers_.get_or_compute<Entry>(key, [&]() -> Entry {
+    const bool disk = disk_ && disk_->enabled();
+    if (disk) {
+      if (auto payload = disk_->get(disk_key(key))) {
+        if (auto parsed = deserialize(*payload)) {
+          ++disk_hits_;
+          return std::move(*parsed);
+        }
+        // Torn payload inside a structurally valid envelope: evict at this
+        // layer so the next run recomputes instead of re-parsing garbage.
+        disk_->remove(disk_key(key), /*count_corrupt=*/true);
+        ++disk_corrupt_;
       }
-      // Torn payload inside a structurally valid envelope: evict at this
-      // layer so the next run recomputes instead of re-parsing garbage.
-      disk_->remove(disk_key(key), /*count_corrupt=*/true);
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.disk_corrupt;
     }
-  }
-  std::lock_guard<std::mutex> lk(mu_);
-  ++stats_.misses;
-  return nullptr;
+    ++misses_;
+    Entry e = compute();
+    ++fills_;
+    if (disk) persist(key, e);
+    return e;
+  });
 }
 
-void LogicMemo::fill(const Fingerprint& key, std::shared_ptr<const Entry> entry) {
-  if (!entry) return;
+void LogicMemo::persist(const Fingerprint& key, const Entry& e) {
   try {
     fault().maybe_fail_or_stall("logic.memo.fill", key.hex());
-  } catch (...) {
-    // The memo is an accelerator: a failed fill costs a future recompute,
-    // never the current answer.
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.fill_errors;
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.evictions += insert_locked(slots_, key, entry);
-    ++stats_.fills;
-  }
-  if (disk_ && disk_->enabled()) {
-    std::string payload = serialize(*entry);
-    try {
-      fault().mutate_payload("logic.memo.put.payload", payload, key.hex());
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.fill_errors;
-      return;
-    }
+    std::string payload = serialize(e);
+    fault().mutate_payload("logic.memo.put.payload", payload, key.hex());
     disk_->put(disk_key(key), payload);  // put swallows its own failures
+  } catch (...) {
+    // The memo is an accelerator: a failed write costs a future recompute,
+    // never the current answer.
+    ++fill_errors_;
   }
 }
 
-std::shared_ptr<const Encoding> LogicMemo::lookup_encoding(const Fingerprint& key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  auto hit = find_locked(encodings_, key);
-  ++(hit ? stats_.encode_hits : stats_.encode_misses);
-  return hit;
-}
-
-void LogicMemo::fill_encoding(const Fingerprint& key, Encoding enc) {
-  auto entry = std::make_shared<const Encoding>(std::move(enc));
-  std::lock_guard<std::mutex> lk(mu_);
-  insert_locked(encodings_, key, std::move(entry));
-}
-
-template <class T>
-std::shared_ptr<const T> LogicMemo::find_locked(SlotMap<T>& slots, const Fingerprint& key) {
-  auto it = slots.find(key);
-  if (it == slots.end()) return nullptr;
-  it->second.lru = ++tick_;
-  return it->second.entry;
-}
-
-template <class T>
-std::size_t LogicMemo::insert_locked(SlotMap<T>& slots, const Fingerprint& key,
-                                     std::shared_ptr<const T> e) {
-  if (capacity_ == 0) return 0;
-  auto it = slots.find(key);
-  if (it != slots.end()) {
-    it->second.lru = ++tick_;
-    return 0;  // first value wins; entries are deterministic anyway
-  }
-  slots.emplace(key, Slot<T>{std::move(e), ++tick_});
-  std::size_t evicted = 0;
-  while (slots.size() > capacity_) {
-    auto victim = slots.begin();
-    for (auto sit = slots.begin(); sit != slots.end(); ++sit)
-      if (sit->second.lru < victim->second.lru) victim = sit;
-    slots.erase(victim);
-    ++evicted;
-  }
-  return evicted;
+std::shared_ptr<const Encoding> LogicMemo::encoding(
+    const Fingerprint& key, const std::function<Encoding()>& compute) {
+  return encodings_.get_or_compute<Encoding>(key, compute);
 }
 
 LogicMemo::Stats LogicMemo::stats() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  Stats s = stats_;
-  s.entries = slots_.size();
+  const CacheStats c = covers_.stats(), e = encodings_.stats();
+  Stats s;
+  s.hits = c.hits + c.joins;
+  s.disk_hits = disk_hits_;
+  s.misses = misses_;
+  s.fills = fills_;
+  s.fill_errors = fill_errors_;
+  s.disk_corrupt = disk_corrupt_;
+  s.evictions = c.evictions;
+  s.entries = c.entries;
+  s.encode_hits = e.hits + e.joins;
+  s.encode_misses = e.misses;
   return s;
 }
 
+std::vector<std::pair<std::string, std::int64_t>> LogicMemo::gauges() const {
+  const Stats s = stats();
+  auto g = [](std::uint64_t v) { return static_cast<std::int64_t>(v); };
+  return {{"logic.memo.hits", g(s.hits)},
+          {"logic.memo.disk_hits", g(s.disk_hits)},
+          {"logic.memo.misses", g(s.misses)},
+          {"logic.memo.fills", g(s.fills)},
+          {"logic.memo.fill_errors", g(s.fill_errors)},
+          {"logic.memo.disk_corrupt", g(s.disk_corrupt)},
+          {"logic.memo.entries", g(s.entries)}};
+}
+
 void LogicMemo::clear() {
-  std::lock_guard<std::mutex> lk(mu_);
-  slots_.clear();
+  covers_.clear();
   encodings_.clear();
 }
 

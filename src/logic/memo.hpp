@@ -13,34 +13,48 @@
 // function name is excluded (issue strings are stored as name-free
 // suffixes and re-prefixed on replay).
 //
-// Covers have two tiers, mirroring the point cache: a bounded in-memory
-// LRU map shared by all workers of an executor, and an optional crash-safe
-// disk tier (runtime/disk_cache) keyed `logic-<fingerprint>`.  Disk
-// payloads carry their own checksum *inside* the ADCK envelope; a torn or
-// bit-flipped entry is detected on parse, evicted from disk, and
-// recomputed — never replayed wrong.  Fault-injection sites:
-// `logic.memo.fill` (fail/stall the fill path; failures are swallowed and
-// counted, the memo is an accelerator) and `logic.memo.put.payload`
-// (corrupt the serialized cover before it reaches the disk tier).
+// Both memo kinds are StageCache instances (runtime/cache.hpp), one for
+// covers and one for encodings, each with its own capacity and counters.
+// A miss computes inline on the caller's thread; concurrent callers with
+// the same key join that in-flight compute instead of repeating it, so a
+// pooled grid computes each spec once, exactly like a serial one.  The
+// join cannot deadlock: the producer runs on a live thread, and neither
+// minimize_hazard_free nor assign_codes waits on pool work, so no thread
+// can block on a compute that sits below it on its own stack or in a pool
+// queue.
 //
-// Encodings (assign_codes results) live in a second in-memory LRU map of
-// the same capacity, keyed by encoding_fingerprint(): the state count, the
-// initial state and the ordered (from, to) transition pairs — exactly what
-// assign_codes reads.  Grid points whose controllers concretize to the
-// same structure replay the codes instead of re-running the search.  They
-// have no disk tier and their own hit/miss counters, so the cover
-// statistics mean the same as without them.
+// Covers also have an optional crash-safe disk tier (runtime/disk_cache)
+// keyed `logic-<fingerprint>`, probed inside the cover compute — so
+// concurrent probes of one key are deduplicated too.  Disk payloads carry
+// their own checksum *inside* the ADCK envelope; a torn or bit-flipped
+// entry is detected on parse, evicted from disk, counted, and recomputed
+// — never replayed wrong.  Fault-injection sites: `logic.memo.fill`
+// (fail/stall the disk write of a freshly computed cover; a failure is
+// swallowed, counted in fill_errors and persists nothing — the memo is an
+// accelerator), `logic.memo.put.payload` (corrupt the serialized cover
+// before it reaches the disk tier), and the stage cache's
+// `cache.compute`, which fires on cover and encoding misses.
+//
+// Encodings (assign_codes results) are keyed by encoding_fingerprint():
+// the state count, the initial state and the ordered (from, to)
+// transition pairs — exactly what assign_codes reads.  Grid points whose
+// controllers concretize to the same structure replay the codes instead
+// of re-running the search.  They have no disk tier and their own
+// hit/miss counters, so the cover statistics mean the same as without
+// them.
 
+#include <atomic>
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logic/encoding.hpp"
 #include "logic/hazard_free.hpp"
+#include "runtime/cache.hpp"
 #include "runtime/fingerprint.hpp"
 
 namespace adc {
@@ -58,37 +72,40 @@ class LogicMemo {
   };
 
   struct Stats {
-    std::uint64_t hits = 0;          // served from memory
+    std::uint64_t hits = 0;          // served without computing: memory hits + joins
     std::uint64_t disk_hits = 0;     // served from the disk tier
     std::uint64_t misses = 0;        // caller computed
-    std::uint64_t fills = 0;         // entries stored
-    std::uint64_t fill_errors = 0;   // injected/IO failures, swallowed
+    std::uint64_t fills = 0;         // computed covers stored
+    std::uint64_t fill_errors = 0;   // injected/IO failures of the disk write, swallowed
     std::uint64_t disk_corrupt = 0;  // torn disk payloads detected+evicted
     std::uint64_t evictions = 0;     // in-memory LRU removals (covers)
     std::uint64_t entries = 0;       // resident in-memory covers
-    std::uint64_t encode_hits = 0;   // encodings served from memory
+    std::uint64_t encode_hits = 0;   // encodings served without computing
     std::uint64_t encode_misses = 0; // encodings the caller computed
   };
 
   // capacity == 0 disables the in-memory tier (and with no disk attached,
-  // the memo as a whole: every lookup misses, every fill is dropped).
-  // It bounds the cover and the encoding maps separately.
-  explicit LogicMemo(std::size_t capacity = 4096) : capacity_(capacity) {}
+  // the memo as a whole: every call computes).  It bounds the cover and
+  // the encoding caches separately.
+  explicit LogicMemo(std::size_t capacity = 4096)
+      : covers_(capacity), encodings_(capacity) {}
 
   // Borrowed; must outlive the memo.  Null detaches.
   void attach_disk(DiskCache* disk) { disk_ = disk; }
 
-  // Null on miss.  The returned entry is immutable and shared.
-  std::shared_ptr<const Entry> lookup(const Fingerprint& key);
+  // The cover for `key`: from memory, by joining a concurrent caller's
+  // compute, from the disk tier, or by running `compute` here (the result
+  // is then stored in both tiers).  Errors from `compute` propagate.
+  std::shared_ptr<const Entry> cover(const Fingerprint& key,
+                                     const std::function<Entry()>& compute);
 
-  // Stores a computed cover in both tiers.  Failures never propagate.
-  void fill(const Fingerprint& key, std::shared_ptr<const Entry> entry);
-
-  // Encodings: null on miss; fills are memory-only.
-  std::shared_ptr<const Encoding> lookup_encoding(const Fingerprint& key);
-  void fill_encoding(const Fingerprint& key, Encoding enc);
+  // The encoding for `key`, memory-only, with the same join semantics.
+  std::shared_ptr<const Encoding> encoding(const Fingerprint& key,
+                                           const std::function<Encoding()>& compute);
 
   Stats stats() const;
+  // The seven `logic.memo.*` gauges (cover counters), in export order.
+  std::vector<std::pair<std::string, std::int64_t>> gauges() const;
   void clear();  // memory tier (covers and encodings); the disk tier persists
 
   // Payload codec for the disk tier (exposed for tests): version-tagged,
@@ -101,29 +118,14 @@ class LogicMemo {
   }
 
  private:
-  template <class T>
-  struct Slot {
-    std::shared_ptr<const T> entry;
-    std::uint64_t lru = 0;
-  };
-  template <class T>
-  using SlotMap = std::map<Fingerprint, Slot<T>>;
+  // Writes a freshly computed cover to the disk tier; never throws.
+  void persist(const Fingerprint& key, const Entry& e);
 
-  template <class T>
-  std::shared_ptr<const T> find_locked(SlotMap<T>& slots, const Fingerprint& key);
-  // Inserts (first value wins) and evicts down to capacity; returns the
-  // number of entries evicted.
-  template <class T>
-  std::size_t insert_locked(SlotMap<T>& slots, const Fingerprint& key,
-                            std::shared_ptr<const T> e);
-
-  std::size_t capacity_;
+  StageCache covers_;
+  StageCache encodings_;
   DiskCache* disk_ = nullptr;
-  mutable std::mutex mu_;
-  SlotMap<Entry> slots_;
-  SlotMap<Encoding> encodings_;
-  std::uint64_t tick_ = 0;
-  Stats stats_;
+  std::atomic<std::uint64_t> disk_hits_{0}, misses_{0}, fills_{0}, fill_errors_{0},
+      disk_corrupt_{0};
 };
 
 // Canonical content fingerprint of a spec + covering options: cube lists

@@ -238,11 +238,7 @@ void share_products(std::vector<FunctionLogic>& functions,
 // was encoded before.
 Encoding encode(const ConcreteMachine& cm, LogicMemo* memo) {
   if (!memo) return assign_codes(cm);
-  const Fingerprint key = encoding_fingerprint(cm);
-  if (auto hit = memo->lookup_encoding(key)) return *hit;
-  Encoding enc = assign_codes(cm);
-  memo->fill_encoding(key, enc);
-  return enc;
+  return *memo->encoding(encoding_fingerprint(cm), [&] { return assign_codes(cm); });
 }
 
 LogicSynthesisResult synthesize_impl(const Xbm& m, const SignalBindings* bindings,

@@ -9,11 +9,18 @@
 // the upstream work: the second run starts from the cached post-`gt2`
 // graph instead of recomputing it.
 //
+// The logic memo (logic/memo.hpp) keeps its cover and encoding caches in
+// two more instances, keyed by function-spec content and machine structure.
+//
 // Concurrency contract: get_or_compute() deduplicates in-flight work.  The
 // first caller computes inline on its own thread; concurrent callers with
 // the same key block on the shared future (the producer is running on a
-// live thread, never parked in a pool queue, so this cannot deadlock).
-// A compute that throws is erased so later callers retry.
+// live thread, never parked in a pool queue, so this cannot deadlock as
+// long as a compute never waits on a pool task that may itself join).
+// A compute that throws is erased so later callers retry.  Joiners see the
+// producer's error, except a CancelledError: that one belongs to the
+// producer's token, so a joiner claims the slot again and computes under
+// its own.
 //
 // Values are immutable once inserted (shared_ptr<const T>); consumers that
 // need a mutable copy clone.  Eviction is LRU over *ready* entries, bounded
@@ -28,6 +35,7 @@
 #include <mutex>
 #include <string>
 
+#include "runtime/cancel.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/fingerprint.hpp"
 
@@ -58,9 +66,16 @@ class StageCache {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return std::make_shared<const T>(compute());
     }
-    auto erased = lookup_or_claim(key);
-    if (erased.first) {  // someone else owns / owned it
-      return std::static_pointer_cast<const T>(erased.second.get());
+    for (;;) {
+      auto [joined, future] = lookup_or_claim(key);
+      if (!joined) break;  // claimed: compute below
+      try {
+        return std::static_pointer_cast<const T>(future.get());
+      } catch (const CancelledError&) {
+        // The producer was cancelled under *its* token, not ours: claim the
+        // slot again and compute under our own (a tripped one stops at its
+        // first check).  Other errors propagate to joiners.
+      }
     }
     try {
       // Injection site: a compute that dies after claiming the slot must

@@ -3,7 +3,8 @@
 //
 // Production code marks *injection sites* — named points where a failure
 // is plausible and must be handled: stage entry in the flow executor,
-// stage-cache compute, disk-cache I/O, the artifact flush path.  A fault
+// stage-cache compute (flow stages, covers and state encodings), the
+// cover memo's disk writes, disk-cache I/O, the artifact flush path.  A fault
 // plan (the ADC_FAULT environment variable or a CLI --fault flag) arms
 // actions at those sites; with no plan every check is a few nanoseconds
 // and nothing fires, so the hooks stay compiled into release builds.

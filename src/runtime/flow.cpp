@@ -267,20 +267,7 @@ void FlowExecutor::sample_gauges() {
   batch.emplace_back("cache.entries", static_cast<std::int64_t>(cs.entries));
   batch.emplace_back("cache.bytes", static_cast<std::int64_t>(cs.bytes));
   batch.emplace_back("pool.pending", pending);
-  {
-    LogicMemo::Stats ms = logic_memo_->stats();
-    batch.emplace_back("logic.memo.hits", static_cast<std::int64_t>(ms.hits));
-    batch.emplace_back("logic.memo.disk_hits",
-                       static_cast<std::int64_t>(ms.disk_hits));
-    batch.emplace_back("logic.memo.misses", static_cast<std::int64_t>(ms.misses));
-    batch.emplace_back("logic.memo.fills", static_cast<std::int64_t>(ms.fills));
-    batch.emplace_back("logic.memo.fill_errors",
-                       static_cast<std::int64_t>(ms.fill_errors));
-    batch.emplace_back("logic.memo.disk_corrupt",
-                       static_cast<std::int64_t>(ms.disk_corrupt));
-    batch.emplace_back("logic.memo.entries",
-                       static_cast<std::int64_t>(ms.entries));
-  }
+  for (auto& gauge : logic_memo_->gauges()) batch.push_back(std::move(gauge));
   if (disk_) {
     // The persistent tier's counters, mirrored into every --json metrics
     // section (and the serve stats op) so cache sharing is observable.
@@ -558,6 +545,9 @@ std::vector<FlowPoint> FlowExecutor::run_all(const std::vector<FlowRequest>& req
   for (const FlowRequest& r : reqs)
     futs.push_back(pool_->submit([this, &r] { return run(r); }));
   for (std::size_t i = 0; i < futs.size(); ++i) out[i] = pool_->wait(futs[i]);
+  // Workers sample as they finish and may commit out of order; the batch's
+  // gauges are its final state.
+  sample_gauges();
   return out;
 }
 

@@ -312,17 +312,7 @@ void ServeServer::sample_observability() {
   registry_.gauge("serve.flow.timeouts").set(exec_count("flow.timeouts"));
   registry_.gauge("serve.flow.faults").set(exec_count("flow.faults"));
   registry_.gauge("serve.flow.deadlocks").set(exec_count("flow.deadlocks"));
-  LogicMemo::Stats ms = exec_->logic_memo().stats();
-  registry_.gauge("logic.memo.hits").set(static_cast<std::int64_t>(ms.hits));
-  registry_.gauge("logic.memo.disk_hits")
-      .set(static_cast<std::int64_t>(ms.disk_hits));
-  registry_.gauge("logic.memo.misses").set(static_cast<std::int64_t>(ms.misses));
-  registry_.gauge("logic.memo.fills").set(static_cast<std::int64_t>(ms.fills));
-  registry_.gauge("logic.memo.fill_errors")
-      .set(static_cast<std::int64_t>(ms.fill_errors));
-  registry_.gauge("logic.memo.disk_corrupt")
-      .set(static_cast<std::int64_t>(ms.disk_corrupt));
-  registry_.gauge("logic.memo.entries").set(static_cast<std::int64_t>(ms.entries));
+  registry_.set_gauges(exec_->logic_memo().gauges());
   analysis::FrontierTracker::Snapshot fs = frontier_.snapshot();
   registry_.gauge("analysis.points").set(static_cast<std::int64_t>(fs.points));
   registry_.gauge("analysis.frontier_size")

@@ -1,5 +1,5 @@
 // Flow-executor tests: parallel evaluation must be scheduling-independent
-// (identical metrics to a serial run), stages must be timed and cached,
+// (identical metrics and logic-memo counts to a serial run), stages must be timed and cached,
 // errors must surface as failed points, and the CLI-facing helpers
 // (builtin registry, ablation grid, script_for, JSON) must hold their
 // contracts.
@@ -48,6 +48,25 @@ TEST(FlowExecutor, ParallelMatchesSerial) {
   FlowExecutor parallel(&pool);
   auto parallel_points = parallel.run_all(reqs);
   EXPECT_EQ(metric_rows(serial_points), metric_rows(parallel_points));
+
+  // Concurrent callers join one in-flight cover or encoding compute, so a
+  // pooled grid computes, replays and keeps exactly what a serial one does.
+  for (const char* name : {"diffeq", "ewf"}) {
+    std::vector<FlowRequest> grid;
+    for (const auto& script : gt_ablation_grid(true))
+      grid.push_back(make_builtin_request(*find_builtin(name), script));
+    FlowExecutor serial_grid(nullptr);
+    const auto serial_rows = metric_rows(serial_grid.run_all(grid));
+    const LogicMemo::Stats want = serial_grid.logic_memo().stats();
+    for (int rep = 0; rep < 5; ++rep) {
+      FlowExecutor pooled(&pool);
+      EXPECT_EQ(metric_rows(pooled.run_all(grid)), serial_rows) << name;
+      const LogicMemo::Stats got = pooled.logic_memo().stats();
+      EXPECT_EQ(got.misses, want.misses) << name << " rep " << rep;
+      EXPECT_EQ(got.hits, want.hits) << name << " rep " << rep;
+      EXPECT_EQ(got.entries, want.entries) << name << " rep " << rep;
+    }
+  }
 }
 
 TEST(FlowExecutor, SecondRunIsServedFromCache) {

@@ -1,11 +1,15 @@
 // The content-addressed cover memo: replay equality, name-independence of
-// the key, the disk tier round trip, torn-entry detection/eviction, and
-// the fault-injection sites on the fill path.  The encoding memo: its key,
-// its bounds, its counters and its use from several threads.
+// the key, the disk tier round trip, torn-entry detection/eviction, the
+// fault-injection sites on the fill path, and the join of concurrent
+// callers.  The encoding memo: its key, its bounds, its counters and its
+// use from several threads.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <latch>
 #include <thread>
 
 #include "extract/extract.hpp"
@@ -227,45 +231,104 @@ TEST_F(LogicMemoTest, TornDiskEntryIsDetectedEvictedAndRecomputed) {
 }
 
 TEST_F(LogicMemoTest, FillFaultIsSwallowedAndCounted) {
+  // The fill site guards the disk write of a freshly computed cover: a
+  // failure there costs the persisted copy, never the answer.
+  DiskCache disk(dir_.string(), 0);
+  FunctionSpec a = feasible_spec("A");
+  const Fingerprint key = spec_fingerprint(a, false, 18);
   fault().configure("logic.memo.fill=fail:1");
+  CoverResult r1;
+  {
+    LogicMemo memo;
+    memo.attach_disk(&disk);
+    CoverOptions opts;
+    opts.memo = &memo;
+    r1 = minimize_hazard_free(a, opts);  // disk write fails, swallowed
+    EXPECT_TRUE(r1.feasible);
+    EXPECT_FALSE(r1.products.empty());
+    EXPECT_EQ(memo.stats().fill_errors, 1u);
+    EXPECT_FALSE(disk.contains(LogicMemo::disk_key(key)));
+  }
+  // Nothing was persisted: a second memo on the same disk misses, and its
+  // write (the fault plan is exhausted) persists the cover.
   LogicMemo memo;
+  memo.attach_disk(&disk);
   CoverOptions opts;
   opts.memo = &memo;
-  FunctionSpec a = feasible_spec("A");
-  CoverResult r1 = minimize_hazard_free(a, opts);  // fill fails, swallowed
-  EXPECT_TRUE(r1.feasible);
-  EXPECT_EQ(memo.stats().fill_errors, 1u);
-  EXPECT_EQ(memo.stats().fills, 0u);
-  // The fault plan is exhausted; the next run computes again and fills.
   CoverResult r2 = minimize_hazard_free(a, opts);
-  EXPECT_EQ(memo.stats().fills, 1u);
-  CoverResult r3 = minimize_hazard_free(a, opts);
-  EXPECT_EQ(memo.stats().hits, 1u);
-  ASSERT_EQ(r3.products.size(), r1.products.size());
+  EXPECT_EQ(memo.stats().disk_hits, 0u);
+  EXPECT_EQ(memo.stats().misses, 1u);
+  EXPECT_EQ(memo.stats().fill_errors, 0u);
+  EXPECT_TRUE(disk.contains(LogicMemo::disk_key(key)));
+  ASSERT_EQ(r2.products.size(), r1.products.size());
   for (std::size_t i = 0; i < r1.products.size(); ++i)
-    EXPECT_TRUE(r3.products[i] == r1.products[i]);
-  (void)r2;
+    EXPECT_TRUE(r2.products[i] == r1.products[i]);
 }
 
 TEST_F(LogicMemoTest, LruEvictsAtCapacityAndZeroCapacityDisables) {
+  int computes = 0;
+  auto compute = [&] {
+    ++computes;
+    return LogicMemo::Entry{};
+  };
   LogicMemo memo(2);
-  auto entry = std::make_shared<const LogicMemo::Entry>();
   Fingerprint k1 = FingerprintBuilder().add("k1").digest();
   Fingerprint k2 = FingerprintBuilder().add("k2").digest();
   Fingerprint k3 = FingerprintBuilder().add("k3").digest();
-  memo.fill(k1, entry);
-  memo.fill(k2, entry);
-  EXPECT_NE(memo.lookup(k1), nullptr);  // refresh k1's LRU stamp
-  memo.fill(k3, entry);                 // evicts k2
+  memo.cover(k1, compute);
+  memo.cover(k2, compute);
+  memo.cover(k1, compute);  // hit: refreshes k1's LRU stamp
+  memo.cover(k3, compute);  // evicts k2
+  EXPECT_EQ(computes, 3);
   EXPECT_EQ(memo.stats().evictions, 1u);
-  EXPECT_NE(memo.lookup(k1), nullptr);
-  EXPECT_EQ(memo.lookup(k2), nullptr);
-  EXPECT_NE(memo.lookup(k3), nullptr);
+  memo.cover(k1, compute);
+  memo.cover(k3, compute);
+  EXPECT_EQ(computes, 3);
+  memo.cover(k2, compute);
+  EXPECT_EQ(computes, 4);
+  EXPECT_EQ(memo.stats().entries, 2u);
 
   LogicMemo off(0);
-  off.fill(k1, entry);
-  EXPECT_EQ(off.lookup(k1), nullptr);
+  off.cover(k1, compute);
+  off.cover(k1, compute);
+  EXPECT_EQ(computes, 6);
   EXPECT_EQ(off.stats().entries, 0u);
+  EXPECT_EQ(off.stats().misses, 2u);
+  EXPECT_EQ(off.stats().hits, 0u);
+}
+
+TEST_F(LogicMemoTest, ConcurrentCoverCallsComputeOnce) {
+  LogicMemo memo;
+  const Fingerprint key = FingerprintBuilder().add("shared spec").digest();
+  constexpr int kThreads = 4;
+  std::atomic<int> computes{0};
+  std::latch release(1);
+  auto compute = [&] {
+    ++computes;
+    release.wait();
+    LogicMemo::Entry e;
+    e.products = {cube("11--")};
+    return e;
+  };
+  std::vector<std::shared_ptr<const LogicMemo::Entry>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back(
+        [&, t] { got[static_cast<std::size_t>(t)] = memo.cover(key, compute); });
+  // Hold the compute until every other caller has joined it (bounded, so a
+  // memo without the join fails the count instead of hanging).
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (memo.stats().hits < kThreads - 1 && std::chrono::steady_clock::now() < give_up)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  release.count_down();
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(computes.load(), 1);
+  for (const auto& e : got) EXPECT_EQ(e.get(), got[0].get());
+  const LogicMemo::Stats s = memo.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads - 1));
+  EXPECT_EQ(s.fills, 1u);
+  EXPECT_EQ(s.entries, 1u);
 }
 
 TEST(EncodingMemo, IdenticalStructureHitsWithTheSameCodes) {
@@ -317,31 +380,39 @@ TEST(EncodingMemo, ZeroCapacityDisablesAndClearDrops) {
   Encoding enc;
   enc.bits = 2;
   enc.code = {0, 1, 3};
+  int computes = 0;
+  auto compute = [&] {
+    ++computes;
+    return enc;
+  };
   const Fingerprint key = FingerprintBuilder().add("machine").digest();
 
   LogicMemo off(0);
-  off.fill_encoding(key, enc);
-  EXPECT_EQ(off.lookup_encoding(key), nullptr);
-  EXPECT_EQ(off.stats().encode_misses, 1u);
+  off.encoding(key, compute);
+  off.encoding(key, compute);
+  EXPECT_EQ(computes, 2);
+  EXPECT_EQ(off.stats().encode_misses, 2u);
 
   LogicMemo memo(2);
-  memo.fill_encoding(key, enc);
-  auto hit = memo.lookup_encoding(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(same_encoding(*hit, enc));
+  EXPECT_TRUE(same_encoding(*memo.encoding(key, compute), enc));
+  EXPECT_TRUE(same_encoding(*memo.encoding(key, compute), enc));
+  EXPECT_EQ(computes, 3);
   memo.clear();
-  EXPECT_EQ(memo.lookup_encoding(key), nullptr);
+  memo.encoding(key, compute);
+  EXPECT_EQ(computes, 4);
 
-  // The encoding map is bounded by the same capacity, LRU first.
+  // The encoding cache is bounded by the same capacity, LRU first.
   const Fingerprint k2 = FingerprintBuilder().add("k2").digest();
   const Fingerprint k3 = FingerprintBuilder().add("k3").digest();
-  memo.fill_encoding(key, enc);
-  memo.fill_encoding(k2, enc);
-  EXPECT_NE(memo.lookup_encoding(key), nullptr);
-  memo.fill_encoding(k3, enc);  // evicts k2
-  EXPECT_NE(memo.lookup_encoding(key), nullptr);
-  EXPECT_EQ(memo.lookup_encoding(k2), nullptr);
-  EXPECT_NE(memo.lookup_encoding(k3), nullptr);
+  memo.encoding(k2, compute);
+  memo.encoding(key, compute);  // hit: refreshes key's LRU stamp
+  memo.encoding(k3, compute);   // evicts k2
+  EXPECT_EQ(computes, 6);
+  memo.encoding(key, compute);
+  memo.encoding(k3, compute);
+  EXPECT_EQ(computes, 6);
+  memo.encoding(k2, compute);
+  EXPECT_EQ(computes, 7);
 }
 
 TEST(EncodingMemo, CoverStatisticsIgnoreEncodingLookups) {
@@ -362,7 +433,8 @@ TEST(EncodingMemo, CoverStatisticsIgnoreEncodingLookups) {
   EXPECT_EQ(warm.entries, cold.entries);
   EXPECT_EQ(warm.encode_hits, 1u);
 
-  (void)memo.lookup_encoding(FingerprintBuilder().add("absent").digest());
+  (void)memo.encoding(FingerprintBuilder().add("absent").digest(),
+                      [] { return Encoding{}; });
   EXPECT_EQ(memo.stats().misses, warm.misses);
   EXPECT_EQ(memo.stats().hits, warm.hits);
 }
@@ -384,7 +456,8 @@ TEST(EncodingMemo, ConcurrentSynthesisGetsIdenticalEncodings) {
   for (const auto& e : got) EXPECT_TRUE(same_encoding(e, fresh));
   const LogicMemo::Stats s = memo.stats();
   EXPECT_EQ(s.encode_hits + s.encode_misses, static_cast<std::uint64_t>(kThreads));
-  EXPECT_GE(s.encode_misses, 1u);
+  // Concurrent callers join the one in-flight search.
+  EXPECT_EQ(s.encode_misses, 1u);
 }
 
 }  // namespace

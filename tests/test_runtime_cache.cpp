@@ -1,5 +1,6 @@
 // Stage-cache tests: fingerprint hygiene, hit/miss accounting, in-flight
-// deduplication, exception recovery, LRU bounding — and the end-to-end
+// deduplication, exception recovery (a joiner recomputes after a cancelled
+// producer, but sees its other errors), LRU bounding — and the end-to-end
 // guarantee the DSE runtime rests on: a cached flow produces byte-identical
 // netlists to a cold flow.
 
@@ -7,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <latch>
+#include <optional>
 #include <thread>
 
 #include "logic/minimize.hpp"
@@ -117,6 +121,83 @@ TEST(StageCache, LruPrefersRecentlyUsed) {
   cache.get_or_compute<int>(c, [] { return 3; });                 // evicts b
   cache.get_or_compute<int>(a, [&] { ++a_computes; return 1; });  // still resident
   EXPECT_EQ(a_computes, 1);
+}
+
+// A producer claims the key and blocks until a second caller has joined
+// its compute, then throws `producer_error`; the joiner's own compute is
+// `joiner_compute`.  Returns what the joiner got.
+struct JoinOutcome {
+  std::optional<int> value;
+  std::string error;
+  CacheStats stats;
+};
+
+template <class Error, class Fn>
+JoinOutcome join_failing_producer(Error producer_error, Fn joiner_compute) {
+  StageCache cache(16);
+  const Fingerprint k = FingerprintBuilder().add("shared stage").digest();
+  // Bounded waits: a broken join fails the expectations instead of hanging.
+  auto wait_until = [](auto done) {
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < give_up)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  std::latch release(1);
+  std::thread producer([&] {
+    try {
+      cache.get_or_compute<int>(k, [&]() -> int {
+        release.wait();
+        throw producer_error;
+      });
+    } catch (const std::exception&) {
+    }
+  });
+  wait_until([&] { return cache.stats().misses == 1; });
+  JoinOutcome out;
+  std::thread joiner([&] {
+    try {
+      out.value = *cache.get_or_compute<int>(k, joiner_compute);
+    } catch (const std::exception& e) {
+      out.error = e.what();
+    }
+  });
+  wait_until([&] { return cache.stats().joins == 1; });
+  release.count_down();
+  producer.join();
+  joiner.join();
+  out.stats = cache.stats();
+  return out;
+}
+
+// Two identical requests share a stage: the one without a deadline must
+// not inherit the other's timeout.
+TEST(StageCache, JoinerRecomputesWhenTheProducerIsCancelled) {
+  JoinOutcome out =
+      join_failing_producer(CancelledError("deadline exceeded"), [] { return 7; });
+  EXPECT_EQ(out.value, std::optional<int>(7)) << out.error;
+  EXPECT_EQ(out.stats.joins, 1u);
+  EXPECT_EQ(out.stats.misses, 2u);
+  EXPECT_EQ(out.stats.entries, 1u);
+}
+
+TEST(StageCache, JoinerWithATrippedTokenStopsAtItsFirstCheck) {
+  CancelToken token;
+  token.request("joiner aborted");
+  JoinOutcome out = join_failing_producer(CancelledError("deadline exceeded"), [token] {
+    token.throw_if_cancelled();
+    return 7;
+  });
+  EXPECT_FALSE(out.value.has_value());
+  EXPECT_EQ(out.error, "joiner aborted");
+}
+
+TEST(StageCache, JoinerSeesTheProducersFault) {
+  JoinOutcome out =
+      join_failing_producer(FaultInjectedError("cache.compute"), [] { return 7; });
+  EXPECT_FALSE(out.value.has_value());
+  EXPECT_EQ(out.error, "injected fault at cache.compute");
+  EXPECT_EQ(out.stats.misses, 1u);
+  EXPECT_EQ(out.stats.entries, 0u);
 }
 
 // The acceptance guarantee: a recipe served from the stage cache yields the
